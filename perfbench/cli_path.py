@@ -107,8 +107,10 @@ def _check(out: Outcome, run: _Run, expected: str) -> None:
 
 
 def run(name: str, seed: int, seconds: float, trace: bool,
-        toy: bool = False, corrupt_digest: bool = False) -> Outcome:
-    """Measure CLI-path workload ``name`` for ``seconds``."""
+        toy: bool = False, corrupt_digest: bool = False,
+        between=None) -> Outcome:
+    """Measure CLI-path workload ``name`` for ``seconds``, calling
+    ``between`` (if given) after each untraced repetition."""
     spec = cli_workload(name, seed, toy)
     out = Outcome(name, spec.config | {"omega": spec.omega,
                                        "backend": "processes"})
@@ -129,13 +131,13 @@ def run(name: str, seed: int, seconds: float, trace: bool,
     if trace:
         _traced(out, model, config, sequential, expected, seconds)
     else:
-        _untraced(out, model, config, expected, steps, seconds)
+        _untraced(out, model, config, expected, steps, seconds, between)
     out.peak_rss_mb = measure.peak_rss_mb()
     return out
 
 
 def _untraced(out: Outcome, model, config: WorkflowConfig, expected: str,
-              steps: float, seconds: float) -> None:
+              steps: float, seconds: float, between) -> None:
     _check(out, _Run(model, config), expected)  # warm-up, untimed
     deadline = time.perf_counter() + seconds
     while True:
@@ -146,6 +148,8 @@ def _untraced(out: Outcome, model, config: WorkflowConfig, expected: str,
         out.add("first_window_s", r.first_window)
         out.add("run_latency_s", r.last_window)
         out.add("cpu_s", r.cpu)
+        if between:
+            between()
         if time.perf_counter() >= deadline:
             break
 

@@ -21,13 +21,13 @@ import json
 import math
 import os
 import platform
-import subprocess
 import sys
 import time
 import traceback
 from pathlib import Path
 
-from measure import median
+from measure import adopt_orphans, median, stop_children
+from probes import SetupProbes, launcher
 from workloads import (ALL_WORKLOADS, CLI_WORKLOADS, SIM_WORKERS, WHY,
                        cli_workload)
 
@@ -85,8 +85,9 @@ PER_LAYER = {
     "pipeline.trace_overhead_frac": "ratio",
 }
 
-#: fresh-interpreter set-ups per run; ``setup_s`` is their median
-SETUP_PROBES = 3
+#: fresh-interpreter set-ups per run (see ``probes.py``); ``setup_s``
+#: is their median
+SETUP_PROBES = 5
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -101,6 +102,8 @@ def parse_args(argv=None) -> argparse.Namespace:
                    help="corrupt the reference digest (proves the "
                         "correctness gate fails)")
     p.add_argument("--setup-probe", action="store_true",
+                   help=argparse.SUPPRESS)
+    p.add_argument("--probe-launcher", action="store_true",
                    help=argparse.SUPPRESS)
     return p.parse_args(argv)
 
@@ -123,18 +126,6 @@ def setup_probe(workload: str) -> float:
     return time.perf_counter() - started
 
 
-def measure_setup(workload: str, toy: bool) -> list[float]:
-    samples = []
-    for _ in range(2 if toy else SETUP_PROBES):
-        proc = subprocess.run(
-            [sys.executable, str(HERE / "run.py"), "--workload", workload,
-             "--seed", "0", "--setup-probe"],
-            cwd=ROOT, capture_output=True, text=True, timeout=120,
-            check=True)
-        samples.append(float(proc.stdout.strip().splitlines()[-1]))
-    return samples
-
-
 def environment(seed: int) -> dict:
     import numpy
     from repro.cwc.kernels import available_kernels
@@ -155,14 +146,18 @@ def environment(seed: int) -> dict:
             "seed": seed}
 
 
-def run_workload(args):
+def run_workload(args, probes: SetupProbes):
+    # set-up probes run between untraced repetitions only: the traced
+    # run does not report setup_s
+    between = None if args.trace else probes.between
     if args.workload in CLI_WORKLOADS:
         import cli_path
         return cli_path.run(args.workload, args.seed, args.seconds,
-                            bool(args.trace), args.toy, args.corrupt_digest)
+                            bool(args.trace), args.toy, args.corrupt_digest,
+                            between)
     import service_mixed
     return service_mixed.run(args.seed, args.seconds, bool(args.trace),
-                             args.toy, args.corrupt_digest)
+                             args.toy, args.corrupt_digest, between)
 
 
 def end_to_end(out, setup: list[float]) -> dict[str, tuple[float, int]]:
@@ -192,6 +187,15 @@ def layer_seconds(layers: dict[str, float]) -> dict[str, float]:
 
 
 def main(argv=None) -> int:
+    """Run, then stop every process the run started, on every path out."""
+    adopt_orphans()
+    try:
+        return _main(argv)
+    finally:
+        stop_children()
+
+
+def _main(argv) -> int:
     args = parse_args(argv)
     if not (SRC / "repro" / "__init__.py").is_file():
         print(f"error: no source tree at {SRC}; run from the root of a "
@@ -201,12 +205,17 @@ def main(argv=None) -> int:
     if args.setup_probe:
         print(setup_probe(args.workload))
         return 0
+    if args.probe_launcher:
+        launcher(args.workload)
+        return 0
 
     env = environment(args.seed)
     started = time.perf_counter()
     try:
-        out = run_workload(args)
-        setup = measure_setup(args.workload, args.toy)
+        with SetupProbes(args.workload, args.seconds,
+                         2 if args.toy else SETUP_PROBES) as probes:
+            out = run_workload(args, probes)
+            setup = probes.finish()
     except Exception:  # noqa: BLE001 - a crash is a failed operation
         traceback.print_exc()
         print(json.dumps({"correct": False, "attempted": 1, "failed": 1,

@@ -161,8 +161,9 @@ class _Rep:
 
 
 def run(seed: int, seconds: float, trace: bool, toy: bool = False,
-        corrupt_digest: bool = False) -> Outcome:
-    """Measure ``service-mixed`` for ``seconds``."""
+        corrupt_digest: bool = False, between=None) -> Outcome:
+    """Measure ``service-mixed`` for ``seconds``, calling ``between``
+    (if given) after each untraced repetition."""
     workload = service_workload(seed, toy)
     out = Outcome("service-mixed", {
         "sweep": workload.sweep_payload,
@@ -188,7 +189,8 @@ def run(seed: int, seconds: float, trace: bool, toy: bool = False,
         if trace:
             _traced(out, app, client, workload, expected, seconds)
         else:
-            _untraced(out, client, workload, expected, steps, seconds)
+            _untraced(out, client, workload, expected, steps, seconds,
+                      between)
     finally:
         app.close()
     procs = measure.leftover_procs()
@@ -215,7 +217,8 @@ def _record(out: Outcome, rep: _Rep, steps: float) -> None:
         out.add("run_latency_s", last)
 
 
-def _untraced(out, client, workload, expected, steps, seconds) -> None:
+def _untraced(out, client, workload, expected, steps, seconds,
+              between) -> None:
     _Rep(client, workload, expected, out)  # warm-up, untimed
     _check_shm(out)
     deadline = time.perf_counter() + seconds
@@ -223,6 +226,8 @@ def _untraced(out, client, workload, expected, steps, seconds) -> None:
         rep = _Rep(client, workload, expected, out)
         _check_shm(out)
         _record(out, rep, steps)
+        if between:
+            between()
         if time.perf_counter() >= deadline:
             break
 
