@@ -7,13 +7,13 @@ k-means, histogram, moving-average filter) — synchronously with a
 pre-built synthetic quantum-result stream, so the measurement isolates
 analysis cost from simulation and channel cost:
 
-* **scalar**:   ScalarTrajectoryAligner -> ScalarSlidingWindowNode ->
-  StatEngineNode(vectorized=False), fed row-format results (its native
-  wire format);
+* **scalar**:   the oracles of ``tests/oracles.py`` —
+  ScalarTrajectoryAligner -> ScalarSlidingWindowNode ->
+  ScalarStatEngineNode, fed row-form results (its native input);
 * **columnar**: TrajectoryAligner -> SlidingWindowNode ->
-  StatEngineNode(vectorized=True), fed columnar wire-format results
-  (what the engines actually ship) — samples land in the ring buffers
-  without an intermediate Python-object hop.
+  StatEngineNode, fed columnar wire-format results (what the engines
+  actually ship) — samples land in the ring buffers without an
+  intermediate Python-object hop.
 
 Both streams are built *outside* the timed region.  The script verifies
 the two chains agree (exact k-means/histograms, 1e-9 statistics) before
@@ -22,12 +22,14 @@ asserts a speedup floor (CI runs ``--assert-speedup 5``; the acceptance
 target at 1024 trajectories is 10x).
 
 It also produces before/after runtime trace reports from a real (small)
-threaded Neurospora workflow with ``columnar=False`` / ``True`` so the
-per-node service times of the two planes can be compared.
+threaded Neurospora workflow, built once with the oracle analysis chain
+and once with the production one, so the per-node service times of the
+two planes can be compared.
 
-Usage::
+Usage (from the repository root; ``.`` on the path makes the oracles
+importable)::
 
-    PYTHONPATH=src python benchmarks/bench_analysis_throughput.py \
+    PYTHONPATH=src:. python benchmarks/bench_analysis_throughput.py \
         [--n-traj 1024] [--json BENCH_analysis.json] \
         [--assert-speedup 10] [--skip-trace]
 """
@@ -42,9 +44,11 @@ import time
 import numpy as np
 
 from repro.analysis.engines import StatEngineNode
-from repro.analysis.windows import ScalarSlidingWindowNode, SlidingWindowNode
-from repro.sim.alignment import ScalarTrajectoryAligner, TrajectoryAligner
+from repro.analysis.windows import SlidingWindowNode
+from repro.sim.alignment import TrajectoryAligner
 from repro.sim.task import QuantumResult
+from tests.oracles import (RowResult, ScalarSlidingWindowNode,
+                           ScalarStatEngineNode, ScalarTrajectoryAligner)
 
 WINDOW_SIZE = 10
 WINDOW_SLIDE = 5
@@ -55,7 +59,8 @@ FILTER_WIDTH = 3
 
 def make_streams(n_traj: int, n_grid: int, n_obs: int, quantum_samples: int,
                  seed: int = 0):
-    """Synthetic quantum-result streams, one per wire format.
+    """Synthetic quantum-result streams: columnar results and the same
+    samples as row-form results.
 
     Trajectories split into two populations (even/odd task ids) so
     k-means has real structure to find.  Results arrive round-robin by
@@ -74,14 +79,13 @@ def make_streams(n_traj: int, n_grid: int, n_obs: int, quantum_samples: int,
         g1 = min(n_grid, g0 + quantum_samples)
         for task_id in range(n_traj):
             columnar.append(QuantumResult(
-                task_id, None, time=times[g1 - 1], steps=0, done=g1 == n_grid,
+                task_id, time=times[g1 - 1], steps=0, done=g1 == n_grid,
                 grid_start=g0, times=times[g0:g1],
                 values=data[task_id, g0:g1]))
-            rows.append(QuantumResult(
+            rows.append(RowResult(
                 task_id,
                 [(g, times[g], tuple(data[task_id, g]))
-                 for g in range(g0, g1)],
-                time=times[g1 - 1], steps=0, done=g1 == n_grid))
+                 for g in range(g0, g1)]))
     return columnar, rows
 
 
@@ -108,9 +112,9 @@ def build_chain(n_traj: int, columnar: bool):
                else ScalarTrajectoryAligner)(n_traj)
     window_cls = SlidingWindowNode if columnar else ScalarSlidingWindowNode
     window = window_cls(WINDOW_SIZE, WINDOW_SLIDE)
-    engine = StatEngineNode(kmeans_k=KMEANS_K, filter_width=FILTER_WIDTH,
-                            histogram_bins=HISTOGRAM_BINS,
-                            vectorized=columnar)
+    engine_cls = StatEngineNode if columnar else ScalarStatEngineNode
+    engine = engine_cls(kmeans_k=KMEANS_K, filter_width=FILTER_WIDTH,
+                        histogram_bins=HISTOGRAM_BINS)
     out = _Collect()
     aligner._outbox = _Feed(window)
     window._outbox = _Feed(engine)
@@ -180,25 +184,65 @@ def bench(n_traj: int, n_grid: int, repeats: int) -> dict:
     }
 
 
+def oracle_workflow(model, config):
+    """:func:`repro.pipeline.build_workflow`'s Fig. 2 pipeline with the
+    oracle analysis chain (aligner, windower and stat engines)."""
+    from repro.analysis.engines import GatherNode
+    from repro.ff.farm import Farm
+    from repro.ff.pipeline import Pipeline
+    from repro.sim.engine import SimEngineNode
+    from repro.sim.scheduler import SimTaskEmitter, TaskGenerator
+
+    generator = TaskGenerator(model, config.n_simulations, config.t_end,
+                              config.quantum, config.sample_every,
+                              seed=config.seed)
+    sim_farm = Farm(
+        [SimEngineNode(name=f"sim-eng-{i}")
+         for i in range(config.n_sim_workers)],
+        emitter=SimTaskEmitter(),
+        collector=ScalarTrajectoryAligner(config.n_simulations),
+        feedback=True, scheduling=config.scheduling, name="sim-farm")
+    stat_farm = Farm(
+        [ScalarStatEngineNode(kmeans_k=config.kmeans_k,
+                              filter_width=config.filter_width,
+                              histogram_bins=config.histogram_bins,
+                              name=f"stat-eng-{i}")
+         for i in range(config.n_stat_workers)],
+        collector=GatherNode(), ordered=True,
+        scheduling=config.scheduling, name="stat-farm")
+    return Pipeline(
+        [generator, sim_farm,
+         ScalarSlidingWindowNode(config.window_size, config.window_slide),
+         stat_farm], name="cwc-workflow")
+
+
 def trace_reports(out_prefix: str) -> dict:
     """Before/after per-node trace of a real threaded workflow."""
+    from repro.ff.executor import run as ff_run
+    from repro.ff.trace import Tracer
     from repro.models import neurospora_network
     from repro.pipeline import WorkflowConfig, run_workflow
 
     network = neurospora_network(omega=50)
     paths = {}
-    for columnar in (False, True):
-        label = "columnar" if columnar else "scalar"
+    for label in ("scalar", "columnar"):
         path = f"{out_prefix}_{label}.json"
         config = WorkflowConfig(
             n_simulations=16, t_end=12.0, sample_every=0.25, quantum=2.0,
             n_sim_workers=2, window_size=WINDOW_SIZE,
             window_slide=WINDOW_SLIDE, kmeans_k=KMEANS_K,
             histogram_bins=HISTOGRAM_BINS, filter_width=FILTER_WIDTH,
-            seed=0, columnar=columnar, trace=True, trace_report_path=path)
-        result = run_workflow(network, config)
+            seed=0, trace=True, trace_report_path=path)
+        if label == "scalar":
+            tracer = Tracer()
+            ff_run(oracle_workflow(network, config), backend="threads",
+                   trace=tracer)
+            report = tracer.report()
+            report.save(path)
+        else:
+            report = run_workflow(network, config).trace_report
         paths[label] = path
-        analysis = [n for n in result.trace_report.nodes
+        analysis = [n for n in report.nodes
                     if n["name"] in ("sim-farm.collector", "windows")
                     or n["name"].startswith("stat-farm.w")]
         svc_ms = sum(n["svc_time_s"]["total"] for n in analysis) * 1e3

@@ -6,6 +6,7 @@ the numbers that calibrate the performance models (steps/s feed
 ``stat_cut_*`` terms).
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis.kmeans import kmeans
@@ -16,7 +17,7 @@ from repro.cwc.network import FlatSimulator
 from repro.cwc.parser import parse_term
 from repro.cwc.rule import CompartmentPattern, Pattern
 from repro.cwc.multiset import Multiset
-from repro.distributed.message import decode_frame, encode_frame
+from repro.distributed.message import decode_frame, encode_frame_oob
 from repro.ff.queues import Channel
 from repro.models import neurospora_cwc_model, neurospora_network
 from repro.pipeline import WorkflowConfig, run_workflow
@@ -103,6 +104,8 @@ def test_tree_matching(benchmark):
 
 def test_alignment_throughput(benchmark):
     n_traj, n_grid = 64, 32
+    times = np.arange(n_grid, dtype=float)
+    values = np.tile((1.0, 2.0, 3.0), (n_grid, 1))
 
     def align_everything():
         aligner = TrajectoryAligner(n_traj)
@@ -110,11 +113,9 @@ def test_alignment_throughput(benchmark):
         aligner._outbox = type("O", (), {"send": lambda _s, c: sink.append(c)})()
         for task_id in range(n_traj):
             aligner.svc(QuantumResult(
-                task_id=task_id,
-                samples=[(g, float(g), (1.0, 2.0, 3.0))
-                         for g in range(n_grid)],
-                time=0.0, steps=0, done=True))
-        return len(sink)
+                task_id, time=0.0, steps=0, done=True, grid_start=0,
+                times=times, values=values))
+        return sum(len(block) for block in sink)
 
     cuts = benchmark(align_everything)
     assert cuts == n_grid
@@ -142,7 +143,7 @@ def test_codec_roundtrip_cost(benchmark):
                            for g in range(40)]}
 
     def roundtrip():
-        return decode_frame(encode_frame(payload))[0]
+        return decode_frame(encode_frame_oob(payload))[0]
 
     assert benchmark(roundtrip) == payload
 

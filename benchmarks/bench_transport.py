@@ -6,24 +6,27 @@ realistic payload -- one cluster ``ResultMsg`` carrying a full
 1024-trajectory batch quantum (one columnar ``QuantumResult`` per
 member):
 
-* **wire frames** (cluster backend): legacy v1 frames copy every sample
-  array into the pickle stream (and scan it again for the checksum);
-  v2 out-of-band frames ship the arrays as raw buffer segments, pickle
-  only the object skeleton, and checksum only the control data.  The
+* **wire frames** (cluster backend): the legacy v1 ``CW`` frames of
+  earlier versions (the baseline, kept in ``tests/oracles.py``) copy
+  every sample array into the pickle stream (and scan it again for the
+  checksum); the v2 ``C5`` frames the cluster uses ship the arrays as
+  raw buffer segments, pickle only the object skeleton, and checksum
+  only the control data.  The
   benchmark reports bytes *copied through pickle* per quantum for both
   formats -- the acceptance axis (CI asserts a >= 5x reduction) -- plus
   encode/decode frames per second.
 * **shared pages** (processes backend): the same results published to
   the shared-memory result ring and mapped back, versus a
   pickle/unpickle round trip of the result list (what the pool's future
-  pipe does without the ring).
+  pipe carried before the ring).
 
 Everything runs in-process (no sockets, no pool) so the numbers isolate
 serialisation and copy cost from transport latency.
 
-Usage::
+Usage (from the repository root; ``.`` on the path makes the oracles
+importable)::
 
-    PYTHONPATH=src python benchmarks/bench_transport.py \
+    PYTHONPATH=src:. python benchmarks/bench_transport.py \
         [--n-traj 1024] [--samples 16] [--n-obs 3] [--repeat 5] \
         [--json BENCH_transport.json] [--assert-reduction 5]
 """
@@ -40,7 +43,6 @@ import numpy as np
 
 from repro.distributed.message import (
     decode_frame,
-    encode_frame,
     encode_frame_oob,
     encode_frame_segments,
     segments_nbytes,
@@ -49,6 +51,7 @@ from repro.distributed.net import ResultMsg
 from repro.distributed.shm import (make_prefix, map_results,
                                    publish_results, sweep_orphans)
 from repro.sim.task import QuantumResult
+from tests.oracles import decode_legacy_frame, encode_legacy_frame
 
 
 def make_quantum(n_traj: int, samples_per_quantum: int, n_obs: int,
@@ -58,7 +61,7 @@ def make_quantum(n_traj: int, samples_per_quantum: int, n_obs: int,
     times = np.arange(samples_per_quantum, dtype=float) * 0.5
     return [
         QuantumResult(
-            task_id, None, time=float(times[-1]), steps=100 + task_id,
+            task_id, time=float(times[-1]), steps=100 + task_id,
             done=False, grid_start=0, times=times.copy(),
             values=rng.integers(
                 0, 200, size=(samples_per_quantum, n_obs)).astype(float))
@@ -84,7 +87,7 @@ def bench_frames(results, repeat: int) -> dict:
     msg = ResultMsg(0, None, tuple(results))
     payload = payload_nbytes(results)
 
-    v1_frame = encode_frame(msg)
+    v1_frame = encode_legacy_frame(msg)
     segments = encode_frame_segments(msg)
     control = segments_nbytes(segments[:2])
     total = segments_nbytes(segments)
@@ -100,10 +103,11 @@ def bench_frames(results, repeat: int) -> dict:
         "v1_pickled_bytes": len(v1_frame),
         "v2_pickled_bytes": control,
         "copy_reduction": len(v1_frame) / control,
-        "v1_encode_s": time_loop(lambda: encode_frame(msg), repeat),
+        "v1_encode_s": time_loop(lambda: encode_legacy_frame(msg), repeat),
         "v2_encode_s": time_loop(lambda: encode_frame_segments(msg),
                                  repeat),
-        "v1_decode_s": time_loop(lambda: decode_frame(v1_frame), repeat),
+        "v1_decode_s": time_loop(lambda: decode_legacy_frame(v1_frame),
+                                 repeat),
         "v2_decode_s": time_loop(lambda: decode_frame(v2_frame), repeat),
     }
     report["v1_roundtrips_per_s"] = 1.0 / (report["v1_encode_s"]

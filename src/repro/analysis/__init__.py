@@ -14,11 +14,7 @@ from repro.analysis.stats import (
     block_statistics,
     cut_statistics,
 )
-from repro.analysis.windows import (
-    ScalarSlidingWindowNode,
-    SlidingWindowNode,
-    Window,
-)
+from repro.analysis.windows import SlidingWindowNode, Window
 from repro.analysis.kmeans import kmeans, kmeans_array, KMeansResult
 from repro.analysis.filters import (
     exponential_smoothing,
@@ -48,7 +44,6 @@ __all__ = [
     "CutStatistics",
     "Window",
     "SlidingWindowNode",
-    "ScalarSlidingWindowNode",
     "kmeans",
     "kmeans_array",
     "KMeansResult",

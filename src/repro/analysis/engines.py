@@ -13,16 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import math
-
-import numpy as np
-
 from repro.analysis.filters import moving_average
 from repro.analysis.histogram import Histogram, histogram
-from repro.analysis.kmeans import KMeansResult, kmeans, kmeans_array
-from repro.analysis.stats import (CutStatistics, OnlineStats,
-                                  block_statistics, ci_half_width,
-                                  cut_statistics, sample_variance)
+from repro.analysis.kmeans import KMeansResult, kmeans_array
+from repro.analysis.stats import (CutStatistics, block_statistics,
+                                  ci_half_width, sample_variance)
 from repro.analysis.windows import Window
 from repro.ff.node import Node
 
@@ -77,19 +72,18 @@ class StatEngineNode(Node):
     ``kmeans_k`` enables trajectory clustering (``None`` disables);
     ``filter_width`` enables moving-average smoothing of the window mean.
 
-    ``vectorized=True`` (default) runs the columnar engines: per-cut
-    statistics come from the window's precomputed ``cut_stats`` when the
-    sliding window attached them (computed once per cut, shared by every
-    overlapping window) or from one :func:`block_statistics` reduction,
-    and clustering uses the bit-identical :func:`kmeans_array`.
-    ``vectorized=False`` keeps the per-sample scalar oracles.
+    Per-cut statistics come from the window's precomputed ``cut_stats``
+    when the sliding window attached them (computed once per cut, shared
+    by every overlapping window) or from one :func:`block_statistics`
+    reduction, and clustering uses :func:`kmeans_array`, bit-identical to
+    the scalar :func:`~repro.analysis.kmeans.kmeans`.  The per-sample
+    scalar engine lives on as the test oracle in ``tests/oracles.py``.
     """
 
     def __init__(self, kmeans_k: Optional[int] = None,
                  filter_width: Optional[int] = None,
                  histogram_bins: Optional[int] = None,
                  kmeans_seed: int = 0,
-                 vectorized: bool = True,
                  confidence: float = 0.95,
                  name: str = "stat-eng"):
         super().__init__(name=name)
@@ -105,55 +99,28 @@ class StatEngineNode(Node):
         self.filter_width = filter_width
         self.histogram_bins = histogram_bins
         self.kmeans_seed = kmeans_seed
-        self.vectorized = vectorized
         self.confidence = confidence
         self.windows_processed = 0
 
     def svc_init(self) -> None:
         self.windows_processed = 0
 
-    def _window_stats(self, window: Window) -> list[CutStatistics]:
-        if not self.vectorized:
-            return [cut_statistics(cut) for cut in window.cuts]
-        stats = getattr(window, "cut_stats", None)
-        if stats is not None:
-            return list(stats)
-        data = getattr(window, "data", None)
-        if data is None:  # duck-typed window without columnar arrays
-            return [cut_statistics(cut) for cut in window.cuts]
-        return block_statistics(window.grid_indices, window.times, data)
-
     def _window_ci(self, window: Window
                    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """``(window_mean, ci_half_width)`` per observable; see the
         :class:`WindowStatistics` field docs for the estimator."""
-        data = getattr(window, "data", None)
-        if self.vectorized and data is not None:
-            traj_means = data.mean(axis=0)        # (n_traj, n_obs)
-            n_traj = traj_means.shape[0]
-            variances = sample_variance(traj_means, axis=0)
-            means = traj_means.mean(axis=0)
-            return (tuple(means.tolist()),
-                    tuple(ci_half_width(float(v), n_traj, self.confidence)
-                          for v in variances.tolist()))
-        cuts = window.cuts
-        if not cuts or not cuts[0].values:
-            return (), ()
-        n_traj = len(cuts[0].values)
-        n_obs = len(cuts[0].values[0])
-        means, half_widths = [], []
-        for obs in range(n_obs):
-            acc = OnlineStats()
-            for traj in range(n_traj):
-                acc.push(math.fsum(cut.values[traj][obs] for cut in cuts)
-                         / len(cuts))
-            means.append(acc.mean)
-            half_widths.append(
-                ci_half_width(acc.variance, acc.n, self.confidence))
-        return tuple(means), tuple(half_widths)
+        traj_means = window.data.mean(axis=0)     # (n_traj, n_obs)
+        n_traj = traj_means.shape[0]
+        variances = sample_variance(traj_means, axis=0)
+        means = traj_means.mean(axis=0)
+        return (tuple(means.tolist()),
+                tuple(ci_half_width(float(v), n_traj, self.confidence)
+                      for v in variances.tolist()))
 
     def svc(self, window: Window) -> WindowStatistics:
-        stats = self._window_stats(window)
+        stats = (list(window.cut_stats) if window.cut_stats is not None
+                 else block_statistics(window.grid_indices, window.times,
+                                       window.data))
         window_mean, half_width = self._window_ci(window)
         result = WindowStatistics(
             window_index=window.index,
@@ -166,15 +133,9 @@ class StatEngineNode(Node):
         n_observables = len(stats[0].mean) if stats else 0
         if self.kmeans_k is not None and stats:
             for obs in range(n_observables):
-                if self.vectorized:
-                    clustered = kmeans_array(
-                        window.data[-1, :, obs], self.kmeans_k,
-                        seed=self.kmeans_seed)
-                else:
-                    last = window.cuts[-1]
-                    points = [(v,) for v in last.observable(obs)]
-                    clustered = kmeans(
-                        points, self.kmeans_k, seed=self.kmeans_seed)
+                clustered = kmeans_array(
+                    window.data[-1, :, obs], self.kmeans_k,
+                    seed=self.kmeans_seed)
                 result.clusters[obs] = clustered
                 self.trace_incr("analysis.kmeans_iterations",
                                 clustered.iterations)
@@ -184,10 +145,8 @@ class StatEngineNode(Node):
                     result.mean_series(obs), self.filter_width)
         if self.histogram_bins is not None and stats:
             for obs in range(n_observables):
-                column = (window.data[-1, :, obs] if self.vectorized
-                          else window.cuts[-1].observable(obs))
                 result.histograms[obs] = histogram(
-                    column, n_bins=self.histogram_bins)
+                    window.data[-1, :, obs], n_bins=self.histogram_bins)
         self.windows_processed += 1
         return result
 

@@ -8,24 +8,24 @@ the cut stream and emits overlapping :class:`Window` objects of ``size``
 cuts every ``slide`` cuts, each independently analysable (hence
 parallelisable across the statistical-engine farm).
 
-:class:`SlidingWindowNode` is the columnar default: cuts land in a
-preallocated ring buffer (one ``(capacity, n_trajectories,
-n_observables)`` array), a slide is a pointer bump (amortised O(1), no
-per-slide matrix rebuild), :class:`~repro.sim.trajectory.CutBlock`
-batches are bulk-copied in one slice assignment, and per-cut statistics
-are computed **incrementally** -- once per arriving cut, vectorised over
-each block -- instead of being recomputed over the whole window at every
-emission (overlapping windows share them for free).
-:class:`ScalarSlidingWindowNode` keeps the original list-of-cuts
-behaviour as the oracle.
+:class:`SlidingWindowNode` lands cuts in a preallocated ring buffer
+(one ``(capacity, n_trajectories, n_observables)`` array), a slide is a
+pointer bump (amortised O(1), no per-slide matrix rebuild),
+:class:`~repro.sim.trajectory.CutBlock` batches are bulk-copied in one
+slice assignment, and per-cut statistics are computed **incrementally**
+-- once per arriving cut, vectorised over each block -- instead of being
+recomputed over the whole window at every emission (overlapping windows
+share them for free).  The list-of-cuts windower it replaced lives on as
+the test oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
+from repro.analysis.stats import block_statistics
 from repro.ff.node import GO_ON, Node
 from repro.sim.trajectory import Cut, CutBlock
 
@@ -34,39 +34,25 @@ class Window:
     """``size`` consecutive cuts; ``index`` counts emitted windows.
 
     Columnar: ``data`` is ``(n_cuts, n_trajectories, n_observables)``,
-    ``times`` / ``grid_indices`` are 1-D.  Construct either from a list
-    of cuts (``Window(index, cuts)``, the historical form) or from the
-    arrays directly.  ``cut_stats`` optionally carries per-cut
+    ``times`` / ``grid_indices`` are 1-D (``grid_indices`` defaults to
+    ``0 .. n_cuts - 1``).  ``cut_stats`` optionally carries per-cut
     :class:`~repro.analysis.stats.CutStatistics` precomputed upstream.
     """
 
     __slots__ = ("index", "times", "grid_indices", "data", "cut_stats",
                  "_cuts")
 
-    def __init__(self, index: int, cuts: Optional[Sequence[Cut]] = None,
-                 *, times: Optional[np.ndarray] = None,
+    def __init__(self, index: int, *, times: np.ndarray, data: np.ndarray,
                  grid_indices: Optional[np.ndarray] = None,
-                 data: Optional[np.ndarray] = None,
                  cut_stats: Optional[list] = None):
         self.index = index
         self.cut_stats = cut_stats
-        if cuts is not None:
-            cuts = list(cuts)
-            self._cuts: Optional[list[Cut]] = cuts
-            self.times = np.array([c.time for c in cuts], dtype=float)
-            self.grid_indices = np.array(
-                [c.grid_index for c in cuts], dtype=np.int64)
-            self.data = (np.stack([c.data for c in cuts])
-                         if cuts else np.empty((0, 0, 0)))
-        else:
-            if times is None or data is None:
-                raise ValueError("Window needs cuts or times+data")
-            self._cuts = None
-            self.times = np.asarray(times, dtype=float)
-            self.data = np.asarray(data, dtype=float)
-            if grid_indices is None:
-                grid_indices = np.arange(len(self.times))
-            self.grid_indices = np.asarray(grid_indices, dtype=np.int64)
+        self._cuts: Optional[list[Cut]] = None
+        self.times = np.asarray(times, dtype=float)
+        self.data = np.asarray(data, dtype=float)
+        if grid_indices is None:
+            grid_indices = np.arange(len(self.times))
+        self.grid_indices = np.asarray(grid_indices, dtype=np.int64)
 
     @property
     def cuts(self) -> list[Cut]:
@@ -121,10 +107,10 @@ class SlidingWindowNode(Node):
     live rows are moved to the front in one ``memmove``-style copy --
     amortised O(1) per cut, never a per-slide rebuild.
 
-    With ``precompute_stats=True`` (default) per-cut statistics are
-    computed once per arriving cut -- vectorised per block -- and emitted
-    on each window (``Window.cut_stats``), so downstream engines never
-    recompute statistics for the cuts overlapping windows share.
+    Per-cut statistics are computed once per arriving cut -- vectorised
+    per block -- and emitted on each window (``Window.cut_stats``), so
+    downstream engines never recompute statistics for the cuts
+    overlapping windows share.
 
     With ``emit_partial_tail=True`` a final, shorter window is emitted at
     end-of-stream if some cuts never filled a whole window (so short runs
@@ -132,8 +118,7 @@ class SlidingWindowNode(Node):
     """
 
     def __init__(self, size: int, slide: int | None = None,
-                 emit_partial_tail: bool = True, name: str = "windows",
-                 precompute_stats: bool = True):
+                 emit_partial_tail: bool = True, name: str = "windows"):
         super().__init__(name=name)
         if size < 1:
             raise ValueError(f"window size must be >= 1, got {size}")
@@ -143,7 +128,6 @@ class SlidingWindowNode(Node):
             raise ValueError(
                 f"slide must be in [1, size], got {self.slide}")
         self.emit_partial_tail = emit_partial_tail
-        self.precompute_stats = precompute_stats
         self._capacity = 2 * size
         self._data: Optional[np.ndarray] = None   # (capacity, n_traj, n_obs)
         self._times: Optional[np.ndarray] = None
@@ -171,8 +155,7 @@ class SlidingWindowNode(Node):
             (self._capacity, n_trajectories, n_observables), dtype=float)
         self._times = np.empty(self._capacity, dtype=float)
         self._grids = np.empty(self._capacity, dtype=np.int64)
-        if self.precompute_stats:
-            self._stats = [None] * self._capacity
+        self._stats = [None] * self._capacity
 
     def _compact(self) -> None:
         """Move the live rows to the front (amortised O(1) per cut)."""
@@ -183,8 +166,7 @@ class SlidingWindowNode(Node):
         self._data[:count] = self._data[head:tail]
         self._times[:count] = self._times[head:tail]
         self._grids[:count] = self._grids[head:tail]
-        if self._stats is not None:
-            self._stats[:count] = self._stats[head:tail]
+        self._stats[:count] = self._stats[head:tail]
         self._head = 0
         self._tail = count
 
@@ -203,10 +185,7 @@ class SlidingWindowNode(Node):
                 "expected Cut or CutBlock")
         if self._data is None:
             self._allocate(data.shape[1], data.shape[2])
-        stats = None
-        if self._stats is not None:
-            from repro.analysis.stats import block_statistics
-            stats = block_statistics(grids, times, data)
+        stats = block_statistics(grids, times, data)
         offset = 0
         n_new = data.shape[0]
         while offset < n_new:
@@ -221,8 +200,7 @@ class SlidingWindowNode(Node):
             self._data[lo:hi] = data[offset:offset + take]
             self._times[lo:hi] = times[offset:offset + take]
             self._grids[lo:hi] = grids[offset:offset + take]
-            if stats is not None:
-                self._stats[lo:hi] = stats[offset:offset + take]
+            self._stats[lo:hi] = stats[offset:offset + take]
             self._tail = hi
             offset += take
             if self._tail - self._head == self.size:
@@ -237,8 +215,7 @@ class SlidingWindowNode(Node):
             times=self._times[lo:hi].copy(),
             grid_indices=self._grids[lo:hi].copy(),
             data=self._data[lo:hi].copy(),
-            cut_stats=(list(self._stats[lo:hi])
-                       if self._stats is not None else None))
+            cut_stats=list(self._stats[lo:hi]))
         self.ff_send_out(window)
         self._emitted += 1
         self.trace_incr("analysis.windows", 1)
@@ -251,62 +228,6 @@ class SlidingWindowNode(Node):
                      or count > self.size - self.slide)):
             self._emit_window(count)
         self._head = self._tail = 0
-
-    @property
-    def windows_emitted(self) -> int:
-        return self._emitted
-
-
-class ScalarSlidingWindowNode(Node):
-    """Reference windower over Python lists of cuts (the oracle).
-
-    Mirrors :class:`SlidingWindowNode`'s observable behaviour on a plain
-    list buffer; a slide is a single slice deletion (the historical
-    one-``popleft``-per-slide loop was O(slide) per emission).
-    """
-
-    def __init__(self, size: int, slide: int | None = None,
-                 emit_partial_tail: bool = True, name: str = "windows"):
-        super().__init__(name=name)
-        if size < 1:
-            raise ValueError(f"window size must be >= 1, got {size}")
-        self.size = size
-        self.slide = slide if slide is not None else size
-        if self.slide < 1 or self.slide > size:
-            raise ValueError(
-                f"slide must be in [1, size], got {self.slide}")
-        self.emit_partial_tail = emit_partial_tail
-        self._buffer: list[Cut] = []
-        self._emitted = 0
-
-    def svc_init(self) -> None:
-        self._buffer = []
-        self._emitted = 0
-
-    def svc(self, item):
-        if isinstance(item, CutBlock):
-            incoming = list(item)
-        elif isinstance(item, Cut):
-            incoming = [item]
-        else:
-            raise TypeError(
-                f"window node received {type(item).__name__}, "
-                "expected Cut or CutBlock")
-        for cut in incoming:
-            self._buffer.append(cut)
-            if len(self._buffer) == self.size:
-                self.ff_send_out(Window(self._emitted, list(self._buffer)))
-                self._emitted += 1
-                del self._buffer[:self.slide]  # one slice op per slide
-        return GO_ON
-
-    def svc_end(self) -> None:
-        if (self.emit_partial_tail and self._buffer
-                and (self._emitted == 0 or self.slide == self.size
-                     or len(self._buffer) > self.size - self.slide)):
-            self.ff_send_out(Window(self._emitted, list(self._buffer)))
-            self._emitted += 1
-        self._buffer = []
 
     @property
     def windows_emitted(self) -> int:

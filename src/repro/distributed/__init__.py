@@ -27,8 +27,8 @@ from repro.distributed.message import (
     FrameCodec,
     FrameError,
     StreamDecoder,
-    encode_frame,
     decode_frame,
+    encode_frame_oob,
 )
 from repro.distributed.channel import NetworkLink, TrafficMeter
 from repro.distributed.cluster import DistributedWorkflow, HostSpec as VirtualHost
@@ -45,8 +45,8 @@ __all__ = [
     "FrameCodec",
     "FrameError",
     "StreamDecoder",
-    "encode_frame",
     "decode_frame",
+    "encode_frame_oob",
     "NetworkLink",
     "TrafficMeter",
     "DistributedWorkflow",

@@ -1,18 +1,10 @@
-"""Frame codec: length-prefixed, checksummed pickles -- with a zero-copy
-out-of-band format for array payloads.
+"""Frame codec: length-prefixed, checksummed pickles with a zero-copy
+out-of-band layout for array payloads.
 
-Two wire formats coexist on the same stream (the decoder switches on the
-magic):
-
-**Legacy frames** (magic ``CW``) -- one pickled payload, checksummed in
-full::
-
-    | magic (2) | length (4, big-endian) | crc32 (4) | payload (length) |
-
-**Out-of-band frames** (magic ``C5``) -- pickle protocol 5 splits the
-message into a small *control* pickle (object structure, scalars) and the
-raw buffer segments of its NumPy arrays, which are framed verbatim
-instead of being copied through the pickle stream::
+Every frame (magic ``C5``) uses pickle protocol 5 to split the message
+into a small *control* pickle (object structure, scalars) and the raw
+buffer segments of its NumPy arrays, which are framed verbatim instead
+of being copied through the pickle stream::
 
     | magic (2) | n_buffers (2) | crc32 (4) | control_len (4) |
     | buffer_len[i] (8 each) | control pickle | pad | buffer[0] | pad | ...
@@ -24,7 +16,14 @@ buffer-length table) and the control pickle only -- *not* the raw array
 segments: re-hashing multi-megabyte payloads on both send and receive
 costs more than the whole framing layer, and the raw segments are already
 protected in transit by the TCP checksum.  The crc is a framing-integrity
-guard (desync detection), not end-to-end array integrity.
+guard (desync detection), not end-to-end array integrity.  A
+control-only message (``Hello``, ``Shutdown``, a heartbeat) is simply a
+frame with no buffer segments.
+
+The fully checksummed single-pickle ``CW`` frames of earlier versions
+are no longer decoded (their magic is rejected like any other): master
+and workers always run from the same checkout and first exchange a
+``Hello``, so no peer can still speak them.
 
 On encode, arrays are exposed as :class:`pickle.PickleBuffer` segments
 (no copy); on decode, the frame body is copied once out of the socket
@@ -47,10 +46,8 @@ from typing import Any, Iterator, Sequence, Union
 
 import numpy as np
 
-MAGIC = b"CW"
-MAGIC_OOB = b"C5"
-_HEADER = struct.Struct(">2sII")
-_HEADER_OOB = struct.Struct(">2sHII")
+MAGIC = b"C5"
+_HEADER = struct.Struct(">2sHII")
 _BUFLEN = struct.Struct(">Q")
 _ALIGN = 8
 #: buffers below this size are serialised in-band (framing a dozen-byte
@@ -71,19 +68,12 @@ def _pad(offset: int) -> int:
     return -offset % _ALIGN
 
 
-def encode_frame(obj: Any) -> bytes:
-    """Serialise one object into a legacy (fully checksummed) frame."""
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    checksum = zlib.crc32(payload) & 0xFFFFFFFF
-    return _HEADER.pack(MAGIC, len(payload), checksum) + payload
-
-
 def encode_frame_segments(obj: Any,
                           oob_threshold: int = OOB_THRESHOLD
                           ) -> list[Segment]:
     """Serialise one object into out-of-band frame segments.
 
-    Returns a list of bytes-like segments forming one ``C5`` frame when
+    Returns a list of bytes-like segments forming one frame when
     concatenated.  Array buffers of at least ``oob_threshold`` bytes are
     included as live memoryviews of the original arrays (zero-copy: do
     not mutate them until the segments have been sent), everything else
@@ -105,7 +95,7 @@ def encode_frame_segments(obj: Any,
     table = b"".join(_BUFLEN.pack(view.nbytes) for view in raws)
     checksum = zlib.crc32(control, zlib.crc32(table)) & 0xFFFFFFFF
     segments: list[Segment] = [
-        _HEADER_OOB.pack(MAGIC_OOB, len(raws), checksum, len(control))
+        _HEADER.pack(MAGIC, len(raws), checksum, len(control))
         + table,
         control,
     ]
@@ -185,23 +175,23 @@ def _oob_table_spans(buffer, table_start: int, n_buffers: int,
     return starts.tolist(), lengths.tolist(), body_len
 
 
-def _oob_frame_end(buffer, start: int) -> "int | None":
-    """End offset of the ``C5`` frame at ``start``; None if incomplete."""
-    if len(buffer) - start < _HEADER_OOB.size:
+def _frame_end(buffer, start: int) -> "int | None":
+    """End offset of the frame at ``start``; None if incomplete."""
+    if len(buffer) - start < _HEADER.size:
         return None
-    _magic, n_buffers, _crc, control_len = _HEADER_OOB.unpack_from(
+    _magic, n_buffers, _crc, control_len = _HEADER.unpack_from(
         buffer, start)
-    table_end = start + _HEADER_OOB.size + n_buffers * _BUFLEN.size
+    table_end = start + _HEADER.size + n_buffers * _BUFLEN.size
     if len(buffer) < table_end:
         return None
     _starts, _lengths, body_len = _oob_table_spans(
-        buffer, start + _HEADER_OOB.size, n_buffers, control_len)
+        buffer, start + _HEADER.size, n_buffers, control_len)
     end = table_end + body_len
     return end if len(buffer) >= end else None
 
 
-def _decode_oob(buffer, start: int, end: int) -> Any:
-    """Decode the complete ``C5`` frame spanning ``[start, end)``.
+def _decode(buffer, start: int, end: int) -> Any:
+    """Decode the complete frame spanning ``[start, end)``.
 
     The frame body is copied once into a fresh ``bytearray`` so the
     reconstructed arrays are writable views that outlive (and never
@@ -209,9 +199,9 @@ def _decode_oob(buffer, start: int, end: int) -> Any:
     vectorized table parse; the body copy goes through a memoryview so
     ``bytes`` input does not pay an intermediate slice copy.
     """
-    _magic, n_buffers, checksum, control_len = _HEADER_OOB.unpack_from(
+    _magic, n_buffers, checksum, control_len = _HEADER.unpack_from(
         buffer, start)
-    table_start = start + _HEADER_OOB.size
+    table_start = start + _HEADER.size
     body_start = table_start + n_buffers * _BUFLEN.size
     whole = memoryview(buffer)
     table = whole[table_start:body_start]
@@ -231,40 +221,24 @@ def _decode_oob(buffer, start: int, end: int) -> Any:
         raise FrameError(f"undecodable payload: {exc}") from exc
 
 
+def _pickled_nbytes(buffer) -> int:
+    """Bytes of the frame at the start of ``buffer`` that travel through
+    the pickle stream: header, buffer-length table and control pickle."""
+    _magic, n_buffers, _crc, control_len = _HEADER.unpack_from(buffer)
+    return _HEADER.size + n_buffers * _BUFLEN.size + control_len
+
+
 def decode_frame(data: bytes) -> tuple[Any, bytes]:
-    """Decode one frame (either format) from ``data``; returns
-    ``(object, rest)``."""
-    if len(data) < 2:
-        raise FrameError(f"truncated header: {len(data)} < 2 bytes")
-    magic = data[:2]
-    if magic == MAGIC_OOB:
-        if len(data) < _HEADER_OOB.size:
-            raise FrameError(
-                f"truncated header: {len(data)} < {_HEADER_OOB.size} bytes")
-        end = _oob_frame_end(data, 0)
-        if end is None:
-            raise FrameError(
-                f"truncated out-of-band frame: have {len(data)} bytes")
-        return _decode_oob(data, 0, end), data[end:]
-    if magic != MAGIC:
-        raise FrameError(f"bad magic {magic!r}")
+    """Decode one frame from ``data``; returns ``(object, rest)``."""
+    if len(data) >= 2 and data[:2] != MAGIC:
+        raise FrameError(f"bad magic {bytes(data[:2])!r}")
     if len(data) < _HEADER.size:
         raise FrameError(
             f"truncated header: {len(data)} < {_HEADER.size} bytes")
-    magic, length, checksum = _HEADER.unpack_from(data)
-    end = _HEADER.size + length
-    if len(data) < end:
-        raise FrameError(
-            f"truncated payload: have {len(data) - _HEADER.size}, "
-            f"need {length}")
-    payload = data[_HEADER.size:end]
-    if (zlib.crc32(payload) & 0xFFFFFFFF) != checksum:
-        raise FrameError("checksum mismatch (corrupted frame)")
-    try:
-        obj = pickle.loads(payload)
-    except Exception as exc:
-        raise FrameError(f"undecodable payload: {exc}") from exc
-    return obj, data[end:]
+    end = _frame_end(data, 0)
+    if end is None:
+        raise FrameError(f"truncated frame: have {len(data)} bytes")
+    return _decode(data, 0, end), data[end:]
 
 
 def decode_stream(data: bytes) -> Iterator[Any]:
@@ -282,8 +256,7 @@ class StreamDecoder:
     behind ``socket.recv``: TCP delivers arbitrary chunks that split and
     coalesce frames freely.  ``StreamDecoder`` buffers partial reads:
     :meth:`feed` consumes one received chunk and returns every message
-    completed by it (possibly none, possibly several).  Both wire formats
-    are accepted, interleaved freely on one stream.
+    completed by it (possibly none, possibly several).
 
     A truncated header or payload is *not* an error -- the bytes wait in
     the buffer for the next read.  A bad magic or checksum *is* an error
@@ -306,45 +279,18 @@ class StreamDecoder:
         """Buffer ``data``; return all messages it completed, in order."""
         self._buffer.extend(data)
         out: list[Any] = []
-        while True:
-            if len(self._buffer) < 2:
+        while len(self._buffer) >= 2:
+            if self._buffer[:2] != MAGIC:
+                raise FrameError(f"bad magic {bytes(self._buffer[:2])!r} "
+                                 "(stream desynced)")
+            end = _frame_end(self._buffer, 0)
+            if end is None:
                 break
-            magic = bytes(self._buffer[:2])
-            if magic == MAGIC_OOB:
-                end = _oob_frame_end(self._buffer, 0)
-                if end is None:
-                    break
-                (_m, n_buffers, _crc,
-                 control_len) = _HEADER_OOB.unpack_from(self._buffer)
-                obj = _decode_oob(self._buffer, 0, end)
-                del self._buffer[:end]
-                self.frames_decoded += 1
-                if self.codec is not None:
-                    pickled = (_HEADER_OOB.size
-                               + n_buffers * _BUFLEN.size + control_len)
-                    self.codec.account_in(end, pickled=pickled,
-                                          oob=end - pickled)
-                out.append(obj)
-                continue
-            if magic != MAGIC:
-                raise FrameError(f"bad magic {magic!r} (stream desynced)")
-            if len(self._buffer) < _HEADER.size:
-                break
-            magic, length, checksum = _HEADER.unpack_from(self._buffer)
-            end = _HEADER.size + length
-            if len(self._buffer) < end:
-                break
-            payload = bytes(self._buffer[_HEADER.size:end])
-            del self._buffer[:end]
-            if (zlib.crc32(payload) & 0xFFFFFFFF) != checksum:
-                raise FrameError("checksum mismatch (corrupted frame)")
-            try:
-                obj = pickle.loads(payload)
-            except Exception as exc:
-                raise FrameError(f"undecodable payload: {exc}") from exc
-            self.frames_decoded += 1
+            obj = _decode(self._buffer, 0, end)
             if self.codec is not None:
-                self.codec.account_in(end)
+                self.codec.account_in(end, _pickled_nbytes(self._buffer))
+            del self._buffer[:end]
+            self.frames_decoded += 1
             out.append(obj)
         return out
 
@@ -372,17 +318,15 @@ class FrameCodec:
         self.bytes_oob = 0
 
     def encode(self, obj: Any) -> bytes:
-        frame = encode_frame(obj)
-        self.messages_out += 1
-        self.bytes_out += len(frame)
-        self.bytes_pickled += len(frame)
-        return frame
+        """Encode as one contiguous frame (metered links, control
+        messages); sockets should prefer :meth:`encode_segments`."""
+        return b"".join(self.encode_segments(obj))
 
     def encode_segments(self, obj: Any,
                         oob_threshold: int = OOB_THRESHOLD
                         ) -> list[Segment]:
-        """Encode as an out-of-band frame; returns the segment list (send
-        with :func:`send_segments`)."""
+        """Encode as a frame's segment list (send with
+        :func:`send_segments`)."""
         segments = encode_frame_segments(obj, oob_threshold=oob_threshold)
         total = segments_nbytes(segments)
         pickled = segments_nbytes(segments[:2])
@@ -396,17 +340,17 @@ class FrameCodec:
         obj, rest = decode_frame(frame)
         if rest:
             raise FrameError(f"{len(rest)} trailing bytes after frame")
-        self.account_in(len(frame))
+        self.account_in(len(frame), _pickled_nbytes(frame))
         return obj
 
-    def account_in(self, n_bytes: int, pickled: "int | None" = None,
-                   oob: int = 0) -> None:
-        """Record one inbound message of ``n_bytes`` (used by
-        :class:`StreamDecoder`, which decodes the bytes itself)."""
+    def account_in(self, n_bytes: int, pickled: int) -> None:
+        """Record one inbound frame of ``n_bytes``, ``pickled`` of them
+        through the pickle stream (used by :class:`StreamDecoder`, which
+        decodes the bytes itself)."""
         self.messages_in += 1
         self.bytes_in += n_bytes
-        self.bytes_pickled += n_bytes if pickled is None else pickled
-        self.bytes_oob += oob
+        self.bytes_pickled += pickled
+        self.bytes_oob += n_bytes - pickled
 
     def mean_message_size(self) -> float:
         total = self.messages_out + self.messages_in

@@ -230,11 +230,10 @@ class ClusterMaster:
     fault_hook:
         Test/chaos hook ``hook(master)`` invoked after every processed
         result (see :class:`KillWorkerAfter`).
-    zero_copy:
-        Frame numpy payloads as out-of-band buffer segments (pickle
-        protocol 5) instead of copying them through the pickle stream,
-        on both directions of every link; workers inherit the setting.
-        Replay after a worker death is bit-identical either way.
+
+    Every frame on every link ships numpy payloads as out-of-band buffer
+    segments (pickle protocol 5) instead of copying them through the
+    pickle stream.
     """
 
     def __init__(self, tasks: list, n_workers: int, *,
@@ -246,8 +245,7 @@ class ClusterMaster:
                  accept_timeout: float = 30.0,
                  poll_interval: float = 0.05,
                  stop_requested: Optional[Callable[[], bool]] = None,
-                 fault_hook: Optional[Callable[["ClusterMaster"], None]] = None,
-                 zero_copy: bool = True):
+                 fault_hook: Optional[Callable[["ClusterMaster"], None]] = None):
         if n_workers < 1:
             raise ValueError("need >= 1 worker")
         if inflight_window < 1:
@@ -267,7 +265,6 @@ class ClusterMaster:
         self.poll_interval = poll_interval
         self.stop_requested = stop_requested
         self.fault_hook = fault_hook
-        self.zero_copy = zero_copy
 
         self.workers: dict[int, WorkerHandle] = {}
         self.ready: deque = deque()
@@ -405,8 +402,7 @@ class ClusterMaster:
             proc = multiprocessing.Process(
                 target=worker_main,
                 args=(self.bind_host, self.port, worker_id),
-                kwargs={"heartbeat_interval": self.heartbeat_interval,
-                        "zero_copy": self.zero_copy},
+                kwargs={"heartbeat_interval": self.heartbeat_interval},
                 daemon=True, name=f"cluster-worker-{worker_id}")
             proc.start()
             self._procs[worker_id] = proc
@@ -555,11 +551,7 @@ class ClusterMaster:
     def _send(self, handle: WorkerHandle, obj: Any) -> bool:
         started = time.monotonic()
         try:
-            if self.zero_copy:
-                send_segments(handle.sock,
-                              handle.codec.encode_segments(obj))
-            else:
-                handle.sock.sendall(handle.codec.encode(obj))
+            send_segments(handle.sock, handle.codec.encode_segments(obj))
         except OSError as exc:
             self._worker_dead(handle.worker_id, f"send failed: {exc}")
             return False
@@ -912,8 +904,7 @@ def run_workflow_cluster(model, config, controller=None, tracer=None,
         heartbeat_interval=config.heartbeat_interval,
         heartbeat_timeout=config.heartbeat_timeout,
         stop_requested=stop_requested,
-        fault_hook=fault_hook,
-        zero_copy=config.zero_copy)
+        fault_hook=fault_hook)
     if controller is not None:
         controller.attach_scheduler(master)
     cut_store: Optional[list] = [] if config.keep_cuts else None

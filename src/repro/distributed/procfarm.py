@@ -7,8 +7,9 @@ simulation engines for process-backed ones: each engine thread submits its
 quantum to a ``ProcessPoolExecutor`` and blocks (releasing the GIL) while
 a worker *process* runs the SSA.  Tasks really cross process boundaries
 (pickled), which is the same serialisation contract as the distributed
-version.  Reachable from the CLI and :func:`repro.pipeline.run_workflow`
-as ``backend="processes"``.
+version; quantum results come back through the shared-memory result
+ring (:mod:`repro.distributed.shm`).  Reachable from the CLI and
+:func:`repro.pipeline.run_workflow` as ``backend="processes"``.
 """
 
 from __future__ import annotations
@@ -28,16 +29,10 @@ from repro.pipeline.steering import SteeringController
 from repro.sim.task import BatchSimulationTask, ResultBlock, SimulationTask
 
 
-def _run_quantum(task):
-    """Executed in a worker process: one quantum, state returned."""
-    result = task.run_quantum()
-    return task, result
-
-
 def _run_quantum_shm(task, prefix):
-    """Like :func:`_run_quantum`, but the sample arrays are published to
-    the shared-memory result ring: the future carries only the advanced
-    task state and a small descriptor block."""
+    """Executed in a worker process: one quantum, with its sample arrays
+    published to the shared-memory result ring.  The future carries only
+    the advanced task state and a small descriptor block."""
     outcome = task.run_quantum()
     results = outcome if isinstance(outcome, list) else [outcome]
     return task, publish_results(results, prefix)
@@ -48,17 +43,17 @@ class ProcessSimEngineNode(Node):
     shared process pool.  The engine thread blocks on the future (GIL
     released) while the quantum runs in another process.
 
-    With ``shm_prefix`` set, quantum results come back through the
-    shared-memory result ring (:mod:`repro.distributed.shm`): the worker
-    publishes the sample arrays into shared pages and this node maps
-    them into zero-copy :class:`~repro.sim.task.QuantumResult` views.
-    Every mapped result must be released exactly once -- results this
-    node drops (empty, not done) are released here; forwarded ones are
-    released by the aligner after ingest.
+    Quantum results come back through the shared-memory result ring
+    (:mod:`repro.distributed.shm`) under the per-run ``shm_prefix``: the
+    worker publishes the sample arrays into shared pages and this node
+    maps them into zero-copy :class:`~repro.sim.task.QuantumResult`
+    views.  Every mapped result must be released exactly once -- results
+    this node drops (empty, not done) are released here; forwarded ones
+    are released by the aligner after ingest.
     """
 
-    def __init__(self, pool: ProcessPoolExecutor, name: str = "psim-eng",
-                 shm_prefix: Optional[str] = None):
+    def __init__(self, pool: ProcessPoolExecutor, shm_prefix: str,
+                 name: str = "psim-eng"):
         super().__init__(name=name)
         self.pool = pool
         self.shm_prefix = shm_prefix
@@ -69,17 +64,12 @@ class ProcessSimEngineNode(Node):
 
     def svc(self, task: Union[SimulationTask, BatchSimulationTask]):
         steps_before = task.steps
-        if self.shm_prefix is not None:
-            updated, block = self.pool.submit(
-                _run_quantum_shm, task, self.shm_prefix).result()
-            results = map_results(block)
-            if block.name is not None:
-                self.trace_incr("proc.shm_blocks", 1)
-                self.trace_incr("proc.shm_bytes", block.payload_nbytes)
-        else:
-            updated, outcome = self.pool.submit(_run_quantum, task).result()
-            # a batch task yields one QuantumResult per member trajectory
-            results = outcome if isinstance(outcome, list) else [outcome]
+        updated, block = self.pool.submit(
+            _run_quantum_shm, task, self.shm_prefix).result()
+        results = map_results(block)
+        if block.name is not None:
+            self.trace_incr("proc.shm_blocks", 1)
+            self.trace_incr("proc.shm_bytes", block.payload_nbytes)
         self.quanta_executed += 1
         steps = updated.steps - steps_before
         retired = 0
@@ -112,10 +102,9 @@ def run_workflow_multiprocess(model: Union[Model, ReactionNetwork],
     simulation engines.  Requires a picklable model (all bundled models
     are; avoid lambda rate laws).
 
-    With ``config.zero_copy`` (the default) quantum results return
-    through the shared-memory result ring instead of the future pipe;
-    any segment leaked by a worker dying mid-publish is swept when the
-    run ends.  Results are bit-identical either way.
+    Quantum results return through the shared-memory result ring
+    instead of the future pipe; any segment leaked by a worker dying
+    mid-publish is swept when the run ends.
 
     Adaptive scheduling comes for free: the farm is built by
     :func:`~repro.pipeline.builder.build_workflow`, so the emitter's
@@ -133,7 +122,7 @@ def run_workflow_multiprocess(model: Union[Model, ReactionNetwork],
     from repro.ff.executor import run as ff_run
 
     cut_store: Optional[list] = [] if config.keep_cuts else None
-    prefix = make_prefix() if config.zero_copy else None
+    prefix = make_prefix()
     owned = pool is None
     if owned:
         pool = ProcessPoolExecutor(max_workers=config.n_sim_workers)
@@ -141,12 +130,11 @@ def run_workflow_multiprocess(model: Union[Model, ReactionNetwork],
         workflow = build_workflow(
             model, config, controller=controller, cut_store=cut_store,
             engine_factory=lambda i: ProcessSimEngineNode(
-                pool, name=f"psim-eng-{i}", shm_prefix=prefix))
+                pool, prefix, name=f"psim-eng-{i}"))
         windows = ff_run(workflow, backend="threads", trace=tracer)
     finally:
         if owned:
             pool.shutdown(wait=True)
-        if prefix is not None:
-            sweep_orphans(prefix)
+        sweep_orphans(prefix)
     return WorkflowResult(config=config, windows=windows,
                           cuts=cut_store or [])

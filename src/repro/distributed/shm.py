@@ -27,7 +27,7 @@ Lifecycle is explicit and master-owned:
   mid-publish (or a master that crashed before releasing) without ever
   touching another run's segments.
 
-Results that are tiny, empty or in row form ride inline in the
+Results that are tiny or empty ride inline in the
 descriptor -- shared-memory setup costs more than pickling below
 :data:`SHM_MIN_BYTES`.
 """
@@ -257,7 +257,7 @@ class ShmBlock:
     descriptors pointing into the named segment.
 
     ``name is None`` means the whole quantum rode inline (payload under
-    :data:`SHM_MIN_BYTES`, or nothing columnar to share).
+    :data:`SHM_MIN_BYTES`, or nothing to share).
     """
 
     __slots__ = ("name", "payload_nbytes", "entries")
@@ -294,9 +294,9 @@ def publish_results(results: list[QuantumResult],
     """Worker side: pack the quantum's sample arrays into one fresh
     segment and return the descriptor block.
 
-    Row-form and empty results stay inline (they have no arrays worth
-    sharing); if the columnar payload totals under :data:`SHM_MIN_BYTES`
-    everything stays inline and no segment is created.
+    Empty results stay inline (they have no arrays worth sharing); if
+    the payload totals under :data:`SHM_MIN_BYTES` everything stays
+    inline and no segment is created.
     """
     total = 0
     shareable = []
@@ -306,7 +306,7 @@ def publish_results(results: list[QuantumResult],
                 continue  # bare done marker: rides inline
             times = np.ascontiguousarray(result._times, dtype=np.float64)
             values = np.ascontiguousarray(result._values, dtype=np.float64)
-        elif result._samples is None and result._n:
+        elif len(result):
             times = np.ascontiguousarray(result._times, dtype=np.float64)
             values = np.ascontiguousarray(result._values, dtype=np.float64)
         else:
@@ -401,7 +401,7 @@ def map_results(block: ShmBlock) -> list[QuantumResult]:
         values = np.ndarray((entry.n, entry.n_obs), np.float64,
                             buffer=shm.buf, offset=entry.values_offset)
         result = QuantumResult(
-            entry.task_id, None, time=entry.time, steps=entry.steps,
+            entry.task_id, time=entry.time, steps=entry.steps,
             done=entry.done, grid_start=entry.grid_start,
             times=times, values=values)
         result.attach_segment(segment)

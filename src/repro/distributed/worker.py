@@ -68,27 +68,20 @@ def _connect(host: str, port: int, retries: int = 50,
 
 
 def worker_main(host: str, port: int, worker_id: int,
-                heartbeat_interval: float = 0.5,
-                zero_copy: bool = True) -> int:
+                heartbeat_interval: float = 0.5) -> int:
     """Run the worker loop until shutdown; returns quanta executed.
 
-    With ``zero_copy`` (the default) result frames ship their numpy
-    payloads as out-of-band buffer segments -- the task state and the
-    quantum's sample arrays cross the wire without being copied into the
-    pickle stream.  The master decodes both formats transparently.
+    Result frames ship their numpy payloads as out-of-band buffer
+    segments -- the task state and the quantum's sample arrays cross the
+    wire without being copied into the pickle stream.
     """
     sock = _connect(host, port)
     codec = FrameCodec(name=f"worker{worker_id}")
     send_lock = threading.Lock()
 
     def send(obj) -> None:
-        if zero_copy:
-            with send_lock:
-                send_segments(sock, codec.encode_segments(obj))
-        else:
-            frame = codec.encode(obj)
-            with send_lock:
-                sock.sendall(frame)
+        with send_lock:
+            send_segments(sock, codec.encode_segments(obj))
 
     send(Hello(worker_id, os.getpid()))
     stop_heartbeats = threading.Event()
@@ -172,10 +165,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="unique worker id within the cluster")
     parser.add_argument("--heartbeat-interval", type=float, default=0.5,
                         help="seconds between liveness beacons")
-    parser.add_argument("--no-zero-copy", action="store_true",
-                        help="copy numpy payloads through the pickle "
-                             "stream instead of framing them as "
-                             "out-of-band buffer segments")
     return parser
 
 
@@ -187,8 +176,7 @@ def main(argv: Optional[list[str]] = None) -> int:
               file=sys.stderr)
         return 2
     quanta = worker_main(host, int(port), args.worker_id,
-                         heartbeat_interval=args.heartbeat_interval,
-                         zero_copy=not args.no_zero_copy)
+                         heartbeat_interval=args.heartbeat_interval)
     print(f"worker {args.worker_id}: {quanta} quanta executed")
     return 0
 

@@ -27,7 +27,19 @@ from repro.models.toggle_switch import toggle_switch_network
 from repro.models.mm_enzyme import mm_enzyme_network
 from repro.models.cell_population import cell_population_model, count_cells
 
+#: the models a run may name (name -> factory(omega)): the one registry
+#: behind the CLI's ``--model`` and the service's ``model`` field, so
+#: "the same config via the CLI" is well defined
+MODELS = {
+    "neurospora": lambda omega: neurospora_network(omega=omega),
+    "neurospora-cwc": lambda omega: neurospora_cwc_model(omega=omega),
+    "lotka-volterra": lambda omega: lotka_volterra_network(omega=omega),
+    "toggle": lambda omega: toggle_switch_network(omega=omega),
+    "enzyme": lambda omega: mm_enzyme_network(omega=omega),
+}
+
 __all__ = [
+    "MODELS",
     "NeurosporaParams",
     "neurospora_network",
     "neurospora_cwc_model",

@@ -96,7 +96,7 @@ def calibrate_cost_model(network: ReactionNetwork,
     probe_times = np.arange(n_grid, dtype=float)
     probe_values = np.tile(sample_row, (n_grid, 1))
     probe_results = [
-        QuantumResult(task_id, None, time=0.0, steps=0, done=True,
+        QuantumResult(task_id, time=0.0, steps=0, done=True,
                       grid_start=0, times=probe_times, values=probe_values)
         for task_id in range(n_trajectories)]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,7 +31,7 @@ class WorkflowConfig:
     filter_width: Optional[int] = None
     histogram_bins: Optional[int] = None
     seed: Optional[int] = 0
-    engine: str = "auto"          # "flat" | "cwc" | "auto" | "batch"
+    engine: str = "auto"          # one of ENGINES
     batch_size: int = 64          # trajectories per block (engine="batch")
     #: inner-loop kernel of the batch engine: "numpy" (the default and
     #: the correctness oracle), "numba" (JIT-compiled, bit-identical to
@@ -49,19 +50,9 @@ class WorkflowConfig:
     #: (thread runtime + process-pool simulation engines) or "cluster"
     #: (real TCP master/worker runtime, repro.distributed.net)
     backend: str = "threads"
-    #: columnar analysis plane: NumPy-backed aligner emitting CutBlock
-    #: batches, ring-buffer sliding window, vectorised stat engines.
-    #: False falls back to the scalar per-cut reference path.
-    columnar: bool = True
     keep_cuts: bool = False       # retain raw cuts (memory!) for examples
     trace: bool = False           # record runtime metrics (run report)
     trace_report_path: Optional[str] = None  # write the JSON report here
-    #: zero-copy result transport: out-of-band buffer frames on the
-    #: cluster backend, a shared-memory result ring on the processes
-    #: backend.  False falls back to plain pickled payloads (the
-    #: before/after axis of benchmarks/bench_transport.py); results are
-    #: bit-identical either way.
-    zero_copy: bool = True
     # -- cluster backend knobs (backend="cluster") ----------------------
     cluster_workers: Optional[int] = None  # None -> n_sim_workers
     cluster_inflight: int = 2     # bounded in-flight window per worker
@@ -84,6 +75,7 @@ class WorkflowConfig:
     adaptive_repriority: bool = False
 
     BACKENDS = ("threads", "sequential", "processes", "cluster")
+    ENGINES = ("auto", "flat", "cwc", "batch")
     ENGINE_KERNELS = ("numpy", "numba", "cupy")
     METHODS = ("exact", "first", "tau", "hybrid")
 
@@ -102,6 +94,10 @@ class WorkflowConfig:
             raise ValueError("heartbeat_interval must be > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.engine not in self.ENGINES:
+            raise ValueError(
+                f"unknown engine {self.engine!r}; pick one of "
+                f"{', '.join(self.ENGINES)}")
         if self.engine_kernel not in self.ENGINE_KERNELS:
             raise ValueError(
                 f"unknown engine_kernel {self.engine_kernel!r}; pick one "
@@ -118,8 +114,11 @@ class WorkflowConfig:
             raise ValueError(
                 f"method={self.method!r} needs a flat network; the CWC "
                 "tree-term engine is exact-only")
-        if self.t_end <= 0 or self.sample_every <= 0 or self.quantum <= 0:
-            raise ValueError("t_end, sample_every, quantum must be > 0")
+        for name in ("t_end", "sample_every", "quantum"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be finite and > 0, got {value!r}")
         if self.n_sim_workers < 1 or self.n_stat_workers < 1:
             raise ValueError("worker counts must be >= 1")
         if self.window_size < 1:
@@ -145,5 +144,4 @@ class WorkflowConfig:
     @property
     def n_quanta(self) -> int:
         """Quanta needed per trajectory (ceiling)."""
-        import math
         return math.ceil(self.t_end / self.quantum)

@@ -15,31 +15,17 @@ import time
 from repro.analysis.peaks import ensemble_period
 from repro.cwc.kernels import KernelUnavailable
 from repro.ff.errors import NodeError
-from repro.models import (
-    lotka_volterra_network,
-    mm_enzyme_network,
-    neurospora_cwc_model,
-    neurospora_network,
-    toggle_switch_network,
-)
+from repro.models import MODELS
 from repro.pipeline.builder import run_workflow
 from repro.pipeline.config import WorkflowConfig
 from repro.pipeline.steering import ProgressEvent, SteeringController
-
-_MODELS = {
-    "neurospora": lambda omega: neurospora_network(omega=omega),
-    "neurospora-cwc": lambda omega: neurospora_cwc_model(omega=omega),
-    "lotka-volterra": lambda omega: lotka_volterra_network(omega=omega),
-    "toggle": lambda omega: toggle_switch_network(omega=omega),
-    "enzyme": lambda omega: mm_enzyme_network(omega=omega),
-}
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.pipeline",
         description="CWC simulation-analysis workflow runner")
-    parser.add_argument("--model", choices=sorted(_MODELS), default="neurospora")
+    parser.add_argument("--model", choices=sorted(MODELS), default="neurospora")
     parser.add_argument("--omega", type=float, default=100.0,
                         help="system size (molecules per concentration unit)")
     parser.add_argument("--simulations", type=int, default=16)
@@ -56,13 +42,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         metavar="BINS",
                         help="per-observable population histograms")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--engine", choices=("auto", "flat", "cwc", "batch"),
+    parser.add_argument("--engine", choices=WorkflowConfig.ENGINES,
                         default="auto")
     parser.add_argument("--batch-size", type=int, default=64,
                         help="trajectories per lockstep block "
                              "(--engine batch)")
     parser.add_argument("--engine-kernel",
-                        choices=("numpy", "numba", "cupy"),
+                        choices=WorkflowConfig.ENGINE_KERNELS,
                         default="numpy",
                         help="inner-loop kernel of the batch engine: "
                              "numpy (reference), numba (JIT, "
@@ -70,7 +56,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "GPU); numba/cupy need the matching "
                              "optional extra installed")
     parser.add_argument("--method",
-                        choices=("exact", "first", "tau", "hybrid"),
+                        choices=WorkflowConfig.METHODS,
                         default="exact",
                         help="stepping algorithm: exact (direct-method "
                              "SSA), first (first-reaction method, "
@@ -80,15 +66,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "rows on exact SSA); tau/hybrid trade "
                              "bit-reproducibility for an order-of-"
                              "magnitude speedup at large omega")
-    parser.add_argument("--no-zero-copy", action="store_true",
-                        help="disable the zero-copy result transport "
-                             "(shared-memory ring on the processes "
-                             "backend, out-of-band frames on the "
-                             "cluster backend) and pickle results "
-                             "instead")
     parser.add_argument("--backend",
-                        choices=("threads", "sequential", "processes",
-                                 "cluster"),
+                        choices=WorkflowConfig.BACKENDS,
                         default="threads",
                         help="runtime: in-process executors (threads/"
                              "sequential), process-pool simulation "
@@ -199,7 +178,7 @@ def run_sweep_cli(args, model) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    model = _MODELS[args.model](args.omega)
+    model = MODELS[args.model](args.omega)
     if args.sweep is not None:
         return run_sweep_cli(args, model)
     adaptive_ci, adaptive_relative = None, True
@@ -221,7 +200,6 @@ def main(argv: list[str] | None = None) -> int:
             histogram_bins=args.histogram,
             seed=args.seed, engine=args.engine, batch_size=args.batch_size,
             engine_kernel=args.engine_kernel, method=args.method,
-            zero_copy=not args.no_zero_copy,
             backend=args.backend, keep_cuts=True,
             cluster_workers=args.workers, cluster_inflight=args.inflight,
             adaptive_ci=adaptive_ci, adaptive_relative=adaptive_relative,

@@ -21,7 +21,7 @@ Between the facade and the workers sits the fair-share layer:
   slot frees up.
 
 Backends: ``"processes"`` (a shared ``ProcessPoolExecutor`` -- quanta
-optionally return through the shared-memory result ring),
+return through the shared-memory result ring),
 ``"threads"`` (in-process, for tests and tiny deployments) and
 ``"cluster"`` (a persistent TCP :class:`~repro.distributed.net.
 ClusterMaster` in serve mode -- worker processes that may live on other
@@ -46,7 +46,7 @@ from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable, Optional
 
-from repro.distributed.shm import sweep_dead_owners
+from repro.distributed.shm import ShmBlock, sweep_dead_owners
 from repro.service.fairshare import StrideScheduler
 
 
@@ -106,15 +106,12 @@ class SharedFleet:
         (clients may lower it per run).  Defaults to ``n_workers`` -- a
         lone tenant saturates the fleet; under contention the stride
         scheduler shares slots out fairly anyway.
-    zero_copy:
-        Cluster backend: frame numpy payloads out-of-band.
     """
 
     BACKENDS = ("threads", "processes", "cluster")
 
     def __init__(self, n_workers: int, backend: str = "processes",
-                 max_inflight: Optional[int] = None,
-                 zero_copy: bool = True):
+                 max_inflight: Optional[int] = None):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if backend not in self.BACKENDS:
@@ -126,7 +123,6 @@ class SharedFleet:
         self.n_workers = n_workers
         self.backend = backend
         self.max_inflight = max_inflight or n_workers
-        self.zero_copy = zero_copy
 
         self._sched = StrideScheduler()
         self._lock = threading.Lock()
@@ -163,8 +159,7 @@ class SharedFleet:
             self._master = ClusterMaster(
                 [], n_workers=self.n_workers,
                 inflight_window=max(
-                    1, -(-self.max_inflight // self.n_workers)),
-                zero_copy=self.zero_copy)
+                    1, -(-self.max_inflight // self.n_workers)))
             self._master.serve()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, daemon=True, name="fleet-dispatch")
@@ -277,9 +272,8 @@ class SharedFleet:
         try:
             if self._master is not None:
                 # cluster serve mode runs ``task.run_quantum()`` remotely
-                # and resolves to (advanced_task, [results]) -- the same
-                # contract as ``fn`` in a pool, so ``fn`` itself never
-                # crosses the wire
+                # and resolves to (advanced_task, [results]) -- ``fn``
+                # itself never crosses the wire (see _on_done)
                 inner = self._master.execute(args[0], namespace=tenant)
             else:
                 inner = self._pool.submit(fn, *args)
@@ -299,6 +293,11 @@ class SharedFleet:
         exc = inner.exception()
         if exc is not None:
             future.set_exception(exc)
+        elif self._master is not None:
+            # the results already crossed the socket: they ride inline in
+            # the descriptor block ``fn`` returns on the other backends
+            task, results = inner.result()
+            future.set_result((task, ShmBlock(None, 0, results)))
         else:
             future.set_result(inner.result())
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -32,13 +33,7 @@ from repro.analysis.engines import WindowStatistics
 from repro.analysis.histogram import Histogram
 from repro.analysis.kmeans import KMeansResult
 from repro.analysis.stats import CutStatistics
-from repro.models import (
-    lotka_volterra_network,
-    mm_enzyme_network,
-    neurospora_cwc_model,
-    neurospora_network,
-    toggle_switch_network,
-)
+from repro.models import MODELS
 from repro.pipeline.config import WorkflowConfig
 from repro.sweep.spec import SweepSpec
 
@@ -51,27 +46,32 @@ class ProtocolError(ValueError):
 # run submission
 # ----------------------------------------------------------------------
 
-#: models a tenant may submit (name -> factory(omega)); mirrors the
-#: batch CLI's registry so "same config via the CLI" is well defined
-MODEL_FACTORIES = {
-    "neurospora": lambda omega: neurospora_network(omega=omega),
-    "neurospora-cwc": lambda omega: neurospora_cwc_model(omega=omega),
-    "lotka-volterra": lambda omega: lotka_volterra_network(omega=omega),
-    "toggle": lambda omega: toggle_switch_network(omega=omega),
-    "enzyme": lambda omega: mm_enzyme_network(omega=omega),
-}
-
-#: WorkflowConfig fields a tenant may set.  Backend, transport and
-#: tracing are the *service's* business (one fleet, per-run tracers):
-#: a spec naming them is rejected loudly rather than silently ignored.
+#: WorkflowConfig fields a tenant may set.  Backend and tracing are the
+#: *service's* business (one fleet, per-run tracers): a spec naming
+#: them, or any other field, is rejected loudly rather than silently
+#: ignored.  Models come from the shared :data:`repro.models.MODELS`
+#: registry, the same one the batch CLI resolves ``--model`` against.
 CONFIG_FIELDS = frozenset({
     "n_simulations", "t_end", "sample_every", "quantum",
     "n_sim_workers", "n_stat_workers", "window_size", "window_slide",
     "kmeans_k", "filter_width", "histogram_bins", "seed",
-    "engine", "batch_size", "engine_kernel", "method", "columnar",
+    "engine", "batch_size", "engine_kernel", "method",
     "adaptive_ci", "adaptive_relative", "adaptive_min_windows",
     "adaptive_species", "adaptive_repriority",
 })
+
+
+def _finite_positive(payload: dict, key: str, default: float) -> float:
+    """``payload[key]`` as a finite float > 0: NaN or infinity would
+    poison the stride scheduler's pass arithmetic (weight) or the model
+    size (omega)."""
+    try:
+        value = float(payload.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"{key} must be a number: {exc}") from exc
+    if not (math.isfinite(value) and value > 0):
+        raise ProtocolError(f"{key} must be finite and > 0, got {value}")
+    return value
 
 
 @dataclass
@@ -94,10 +94,10 @@ class RunSpec:
         if not isinstance(payload, dict):
             raise ProtocolError("run spec must be a JSON object")
         model = payload.get("model")
-        if model not in MODEL_FACTORIES:
+        if model not in MODELS:
             raise ProtocolError(
                 f"unknown model {model!r}; available: "
-                f"{', '.join(sorted(MODEL_FACTORIES))}")
+                f"{', '.join(sorted(MODELS))}")
         cfg_payload = payload.get("config", {})
         if not isinstance(cfg_payload, dict):
             raise ProtocolError("config must be a JSON object")
@@ -114,9 +114,8 @@ class RunSpec:
             config = WorkflowConfig(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"bad config: {exc}") from exc
-        weight = float(payload.get("weight", 1.0))
-        if weight <= 0:
-            raise ProtocolError(f"weight must be > 0, got {weight}")
+        omega = _finite_positive(payload, "omega", 100.0)
+        weight = _finite_positive(payload, "weight", 1.0)
         max_inflight = payload.get("max_inflight")
         if max_inflight is not None:
             max_inflight = int(max_inflight)
@@ -132,7 +131,7 @@ class RunSpec:
             except (TypeError, ValueError, KeyError) as exc:
                 raise ProtocolError(f"bad sweep spec: {exc}") from exc
         return cls(model=model,
-                   omega=float(payload.get("omega", 100.0)),
+                   omega=omega,
                    config=config,
                    weight=weight,
                    max_inflight=max_inflight,
@@ -140,7 +139,7 @@ class RunSpec:
                    sweep=sweep)
 
     def build_model(self):
-        return MODEL_FACTORIES[self.model](self.omega)
+        return MODELS[self.model](self.omega)
 
 
 # ----------------------------------------------------------------------

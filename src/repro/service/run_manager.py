@@ -194,13 +194,11 @@ class RunManager:
         client = None
         try:
             model = spec.build_model()
-            use_shm = self.fleet.backend == "processes"
-            handle.shm_prefix = make_prefix(tag=run_id) if use_shm else None
+            handle.shm_prefix = make_prefix(tag=run_id)
             client = self.fleet.client(run_id, weight=spec.weight,
                                        max_inflight=spec.max_inflight)
             engine_factory = lambda i: ProcessSimEngineNode(  # noqa: E731
-                client, name=f"{run_id}-eng-{i}",
-                shm_prefix=handle.shm_prefix)
+                client, handle.shm_prefix, name=f"{run_id}-eng-{i}")
             if spec.sweep is not None:
                 from repro.sweep import run_sweep
                 cfg = spec.config

@@ -22,7 +22,7 @@ from repro.sim.trajectory import (
 )
 from repro.sim.engine import SimEngineNode
 from repro.sim.scheduler import SimTaskEmitter, TaskGenerator
-from repro.sim.alignment import ScalarTrajectoryAligner, TrajectoryAligner
+from repro.sim.alignment import TrajectoryAligner
 
 __all__ = [
     "SimulationTask",
@@ -39,5 +39,4 @@ __all__ = [
     "SimTaskEmitter",
     "TaskGenerator",
     "TrajectoryAligner",
-    "ScalarTrajectoryAligner",
 ]

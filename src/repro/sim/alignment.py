@@ -9,20 +9,14 @@ point -- a streaming k-way alignment whose memory footprint is bounded by
 the spread between the fastest and slowest trajectory (which the
 quantum-based scheduling keeps small).
 
-Two implementations share the same observable behaviour:
-
-* :class:`TrajectoryAligner` -- the **columnar** default.  All pending
-  grid points live in one task-major ``(n_trajectories, capacity,
-  n_observables)`` NumPy ring buffer indexed by grid offset; a quantum
-  result's samples land with **one** contiguous slice assignment (no
-  per-sample Python loop, no intermediate row objects) and every
-  contiguous run of ready grid points leaves as one
-  :class:`~repro.sim.trajectory.CutBlock` (batched emission amortises
-  per-item channel overhead).
-* :class:`ScalarTrajectoryAligner` -- the original dict-of-tuples
-  implementation emitting one :class:`~repro.sim.trajectory.Cut` per grid
-  point; kept as the oracle for equivalence tests and as the baseline of
-  ``benchmarks/bench_analysis_throughput.py``.
+:class:`TrajectoryAligner` keeps all pending grid points in one
+task-major ``(n_trajectories, capacity, n_observables)`` NumPy ring
+buffer indexed by grid offset; a quantum result's samples land with
+**one** contiguous slice assignment (no per-sample Python loop, no
+intermediate row objects) and every contiguous run of ready grid points
+leaves as one :class:`~repro.sim.trajectory.CutBlock` (batched emission
+amortises per-item channel overhead).  The scalar dict-of-tuples
+aligner it replaced lives on as the test oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +25,7 @@ import numpy as np
 
 from repro.ff.node import GO_ON, Node
 from repro.sim.task import QuantumResult, ResultBlock
-from repro.sim.trajectory import Cut, CutBlock
+from repro.sim.trajectory import CutBlock
 
 
 class TrajectoryAligner(Node):
@@ -40,7 +34,7 @@ class TrajectoryAligner(Node):
     Emits :class:`~repro.sim.trajectory.CutBlock` messages: all grid
     points that became ready during one ``svc`` call leave together.
     ``cuts_emitted`` / ``blocks_emitted`` / ``max_buffered`` mirror the
-    scalar aligner's accounting (``max_buffered`` is the high-water mark
+    scalar oracle's accounting (``max_buffered`` is the high-water mark
     of simultaneously pending grid points -- the fast/slow trajectory
     spread the paper bounds via the simulation quantum).
 
@@ -50,15 +44,17 @@ class TrajectoryAligner(Node):
     buffer would otherwise grow past its capacity (amortised O(1) per
     grid point, like the sliding window's compaction).
 
-    Two regimes share that store.  While every result extends its task
-    contiguously in grid order -- the invariant the real engines and both
-    the process and TCP transports maintain -- readiness is tracked with
-    per-task high-water marks and a fleet minimum, all scalar Python
-    bookkeeping; no ``_seen``/``_counts`` arrays exist at all.  The first
-    deviating result (row-form, out-of-order, gapped or duplicate-prone)
-    reconstructs those arrays from the high-water marks and the aligner
-    continues in the fully general array regime, which validates
-    duplicate and stale reports exactly like the scalar oracle.
+    A result's grid points are contiguous by construction
+    (``grid_start .. grid_start + n - 1``).  Two regimes share the store.
+    While every result extends its task in grid order -- the invariant
+    the real engines and both the process and TCP transports maintain --
+    readiness is tracked with per-task high-water marks and a fleet
+    minimum, all scalar Python bookkeeping; no ``_seen``/``_counts``
+    arrays exist at all.  The first deviating result (out-of-order,
+    gapped or duplicate-prone) reconstructs those arrays from the
+    high-water marks and the aligner continues in the array regime,
+    which rejects duplicate and stale reports exactly like the scalar
+    oracle.
     """
 
     def __init__(self, n_trajectories: int, name: str = "align"):
@@ -185,14 +181,13 @@ class TrajectoryAligner(Node):
             result.release()
             return GO_ON  # nothing new, nothing can have become ready
         task_id = result.task_id
-        if self._fast and result._samples is None \
-                and result.grid_start == self._task_high[task_id]:
-            # hot path: columnar wire format (grids contiguous by
-            # construction) extending its task in order.  No duplicate or
-            # stale report is possible, so the samples land with a single
-            # slice assignment and readiness is pure scalar bookkeeping.
-            g0 = result.grid_start
-            g_end = g0 + n_samples
+        g0 = result.grid_start
+        g_end = g0 + n_samples
+        if self._fast and g0 == self._task_high[task_id]:
+            # hot path: the result extends its task in order.  No
+            # duplicate or stale report is possible, so the samples land
+            # with a single slice assignment and readiness is pure scalar
+            # bookkeeping.
             values = result._values
             if self._data is None or g_end - self._base > self._capacity:
                 self._ensure_capacity(g_end, values.shape[1])
@@ -224,22 +219,7 @@ class TrajectoryAligner(Node):
             return GO_ON
         if self._fast:
             self._demote()
-        if result._samples is None:
-            # columnar wire format: contiguous by construction
-            g0 = result.grid_start
-            g_end = g0 + n_samples
-            self._insert_contiguous(
-                g0, g_end, result._times, result._values, task_id)
-        else:
-            grids, times, values = result.columnar()
-            g0 = int(grids[0])
-            g_end = int(grids[-1]) + 1
-            if n_samples == 1 or (g_end - g0 == n_samples
-                                  and bool((np.diff(grids) == 1).all())):
-                self._insert_contiguous(g0, g_end, times, values, task_id)
-            else:
-                g_end = self._insert_scattered(grids, times, values,
-                                               task_id)
+        self._insert(g0, g_end, result._times, result._values, task_id)
         if g_end > self._high:
             self._high = g_end
         if self._pending > self.max_buffered:
@@ -262,9 +242,10 @@ class TrajectoryAligner(Node):
             hi = self._high - self._base
             self._pending = int(np.count_nonzero(self._counts[lo:hi]))
 
-    def _insert_contiguous(self, g0: int, g_end: int, times, values,
-                           task_id: int) -> None:
-        """Consecutive ascending grid points: pure slice assignments."""
+    def _insert(self, g0: int, g_end: int, times, values,
+                task_id: int) -> None:
+        """Array-regime insert of grid points ``g0 .. g_end - 1``: pure
+        slice assignments after the duplicate and stale checks."""
         if g0 < self._next_emit:
             raise ValueError(
                 f"task {task_id} re-reported grid point "
@@ -285,38 +266,6 @@ class TrajectoryAligner(Node):
         counts += 1
         self._data[task_id, lo:hi] = values
         self._times[lo:hi] = times
-
-    def _insert_scattered(self, grids, times, values, task_id: int) -> int:
-        """Slow path: non-contiguous (or descending) grid points.
-        Returns one past the highest grid index written."""
-        stale = grids < self._next_emit
-        if stale.any():
-            raise ValueError(
-                f"task {task_id} re-reported grid point "
-                f"{int(grids[np.argmax(stale)])} (already emitted)")
-        g_end = int(grids.max()) + 1
-        self._ensure_capacity(g_end, values.shape[1])
-        idx = np.asarray(grids, dtype=np.int64) - self._base
-        dup = self._seen[task_id, idx]
-        if dup.any():
-            raise ValueError(
-                f"task {task_id} reported grid point "
-                f"{int(grids[np.argmax(dup)])} twice")
-        srt = np.sort(idx)
-        eq = np.diff(srt) == 0
-        if eq.any():
-            raise ValueError(
-                f"task {task_id} reported grid point "
-                f"{int(srt[np.argmax(eq)]) + self._base} twice")
-        if g_end > self._task_high[task_id]:
-            self._task_high[task_id] = g_end
-        self._seen[task_id, idx] = True
-        counts = self._counts[idx]
-        self._pending += len(idx) - int(np.count_nonzero(counts))
-        self._counts[idx] += 1
-        self._data[task_id, idx] = values
-        self._times[idx] = times
-        return g_end
 
     def _emit_ready(self) -> None:
         lo = self._next_emit - self._base
@@ -355,77 +304,3 @@ class TrajectoryAligner(Node):
         self._capacity = 0
         self._pending = 0
         self._base = self._high = self._next_emit
-
-
-class ScalarTrajectoryAligner(Node):
-    """Reference collector emitting one :class:`Cut` per grid point.
-
-    The pre-columnar implementation, kept verbatim as the oracle the
-    equivalence tests (and the analysis-throughput benchmark baseline)
-    compare :class:`TrajectoryAligner` against.
-    """
-
-    def __init__(self, n_trajectories: int, name: str = "align"):
-        super().__init__(name=name)
-        if n_trajectories < 1:
-            raise ValueError("n_trajectories must be >= 1")
-        self.n_trajectories = n_trajectories
-        # grid index -> {task_id: values}; times recorded separately
-        self._pending: dict[int, dict[int, tuple[float, ...]]] = {}
-        self._times: dict[int, float] = {}
-        self._next_emit = 0
-        self.cuts_emitted = 0
-        self.max_buffered = 0
-
-    def svc_init(self) -> None:
-        self._pending.clear()
-        self._times.clear()
-        self._next_emit = 0
-        self.cuts_emitted = 0
-        self.max_buffered = 0
-
-    def svc(self, result: QuantumResult):
-        if isinstance(result, ResultBlock):
-            for member in result.unpack():
-                self.svc(member)
-            result.release()
-            return GO_ON
-        if not isinstance(result, QuantumResult):
-            raise TypeError(
-                f"aligner received {type(result).__name__}, "
-                "expected QuantumResult")
-        for grid_index, time, values in result.samples:
-            if grid_index < self._next_emit:
-                raise ValueError(
-                    f"task {result.task_id} re-reported grid point "
-                    f"{grid_index} (already emitted)")
-            column = self._pending.setdefault(grid_index, {})
-            if result.task_id in column:
-                raise ValueError(
-                    f"task {result.task_id} reported grid point "
-                    f"{grid_index} twice")
-            column[result.task_id] = values
-            self._times[grid_index] = time
-        result.release()  # rows are materialised copies by now
-        self.max_buffered = max(self.max_buffered, len(self._pending))
-        self._emit_ready()
-        return GO_ON
-
-    def _emit_ready(self) -> None:
-        while True:
-            column = self._pending.get(self._next_emit)
-            if column is None or len(column) < self.n_trajectories:
-                return
-            time = self._times.pop(self._next_emit)
-            del self._pending[self._next_emit]
-            values = [column[task_id]
-                      for task_id in range(self.n_trajectories)]
-            self.ff_send_out(Cut(grid_index=self._next_emit, time=time,
-                                 values=values))
-            self.cuts_emitted += 1
-            self.trace_incr("align.cuts", 1)
-            self._next_emit += 1
-
-    def svc_end(self) -> None:
-        self._pending.clear()
-        self._times.clear()

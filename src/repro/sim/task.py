@@ -36,24 +36,15 @@ from repro.cwc.network import FlatSimulator, ReactionNetwork
 class QuantumResult:
     """Samples produced by one task during one quantum.
 
-    Two interchangeable representations are supported:
-
-    * **row form** -- ``samples`` is a list of ``(grid index, time,
-      observable tuple)`` triples in time order (the historical layout);
-    * **columnar form** -- ``grid_start`` + ``times`` (1-D array) +
-      ``values`` (``(n_samples, n_observables)`` array), produced
-      natively by the batched NumPy engine so samples can land in the
-      aligner's columnar buffers without an intermediate Python-object
-      hop (also what crosses the cluster wire).
-
-    Whichever form was not supplied is materialised lazily on first
-    access, so downstream code can use either view.
-
-    Results pickle in whichever form they currently hold: an array-form
-    result ships ``grid_start`` + the two arrays (as out-of-band buffers
-    under pickle protocol 5) without ever materialising the per-sample
-    Python tuples, and a lazily materialised view is dropped rather than
-    shipped twice.
+    Columnar: ``grid_start`` + ``times`` (1-D array) + ``values``
+    (``(n_samples, n_observables)`` array).  The grid indices of a
+    result are ``grid_start .. grid_start + n - 1`` *by construction*,
+    which the aligner exploits; an empty result holds zero-length
+    arrays.  The engines produce this form natively, so samples land in
+    the aligner's columnar buffers without an intermediate Python-object
+    hop, and it is what crosses process and network boundaries: under
+    pickle protocol 5 the two arrays ship as out-of-band buffers.
+    :attr:`samples` is a read-only row view derived from the arrays.
 
     ``attach_segment`` / ``release`` tie a result to a shared-memory
     segment when its arrays are views over shared pages (the processes
@@ -63,14 +54,10 @@ class QuantumResult:
     """
 
     __slots__ = ("task_id", "time", "steps", "done", "grid_start",
-                 "_samples", "_grid_indices", "_times", "_values", "_n",
-                 "_segment")
+                 "_times", "_values", "_n", "_segment")
 
-    def __init__(self, task_id: int,
-                 samples: Optional[list[tuple[int, float,
-                                              tuple[float, ...]]]] = None,
-                 time: float = 0.0, steps: int = 0, done: bool = False,
-                 *, grid_start: Optional[int] = None,
+    def __init__(self, task_id: int, time: float = 0.0, steps: int = 0,
+                 done: bool = False, *, grid_start: int = 0,
                  times: Optional[np.ndarray] = None,
                  values: Optional[np.ndarray] = None):
         self.task_id = task_id
@@ -79,59 +66,28 @@ class QuantumResult:
         #: SSA steps executed so far (for cost accounting)
         self.steps = steps
         self.done = done
+        #: first grid index of the samples
+        self.grid_start = int(grid_start)
+        self._times = (np.empty(0) if times is None
+                       else np.asarray(times, dtype=float))
+        self._values = (np.empty((0, 0)) if values is None
+                        else np.asarray(values, dtype=float))
+        self._n = len(self._times)
         self._segment = None  # shared-memory segment backing the arrays
-        if samples is not None:
-            self._samples: Optional[list] = samples
-            self._grid_indices: Optional[np.ndarray] = None
-            self._times = None
-            self._values = None
-            self._n = len(samples)
-            #: first grid index (columnar form only; the grid indices of
-            #: a columnar result are ``grid_start .. grid_start + n - 1``
-            #: *by construction*, which the aligner exploits)
-            self.grid_start: Optional[int] = None
-        else:
-            if times is None or values is None:
-                raise ValueError(
-                    "QuantumResult needs samples or times+values")
-            self._samples = None
-            self._times = np.asarray(times, dtype=float)
-            self._values = np.asarray(values, dtype=float)
-            self._n = len(self._times)
-            self._grid_indices = None  # built lazily from grid_start
-            self.grid_start = 0 if grid_start is None else int(grid_start)
 
     @property
     def samples(self) -> list[tuple[int, float, tuple[float, ...]]]:
-        """(grid index, time, observable values) triples, in time order."""
-        if self._samples is None:
-            grids = range(self.grid_start, self.grid_start + self._n)
-            times = self._times.tolist()
-            rows = self._values.tolist()
-            self._samples = [
-                (g, t, tuple(row))
-                for g, t, row in zip(grids, times, rows)]
-        return self._samples
+        """(grid index, time, observable values) triples, in time order
+        (built from the arrays on every access)."""
+        return [(g, t, tuple(row)) for g, t, row in zip(
+            range(self.grid_start, self.grid_start + self._n),
+            self._times.tolist(), self._values.tolist())]
 
     def columnar(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(grid_indices, times, values)`` arrays; values is
-        ``(n_samples, n_observables)``.  Cached."""
-        if self._values is None:
-            samples = self._samples
-            self._grid_indices = np.array(
-                [s[0] for s in samples], dtype=np.int64)
-            self._times = np.array([s[1] for s in samples], dtype=float)
-            if samples:
-                self._values = np.asarray(
-                    [s[2] for s in samples], dtype=float)
-                if self._values.ndim == 1:
-                    self._values = self._values.reshape(len(samples), -1)
-            else:
-                self._values = np.empty((0, 0), dtype=float)
-        elif self._grid_indices is None:
-            self._grid_indices = np.arange(
-                self.grid_start, self.grid_start + self._n)
-        return self._grid_indices, self._times, self._values
+        ``(n_samples, n_observables)``."""
+        return (np.arange(self.grid_start, self.grid_start + self._n),
+                self._times, self._values)
 
     def __len__(self) -> int:
         return self._n
@@ -152,42 +108,22 @@ class QuantumResult:
         rather than touch unmapped memory."""
         segment, self._segment = self._segment, None
         if segment is not None:
-            if self._samples is None:
-                self._n = 0
+            self._n = 0
             self._times = None
             self._values = None
-            self._grid_indices = None
             segment.release()
 
-    # -- pickling (lazy: ship the form we hold, never materialise) ------
+    # -- pickling: two arrays + scalars (shared-memory views pickle by
+    # value; under protocol 5 the arrays leave out-of-band) -------------
     def __getstate__(self):
-        if self._samples is None:
-            # columnar form: two arrays + scalars, shipped without ever
-            # building per-sample tuples.  Shared-memory views pickle by
-            # value.
-            return (self.task_id, self.time, self.steps, self.done,
-                    self.grid_start, None, self._times, self._values)
-        # row form is authoritative; a lazily derived columnar view is
-        # redundant (rebuilt on demand) -- drop it instead of doubling
-        # the payload
         return (self.task_id, self.time, self.steps, self.done,
-                self.grid_start, self._samples, None, None)
+                self.grid_start, self._times, self._values)
 
     def __setstate__(self, state):
         (self.task_id, self.time, self.steps, self.done,
-         self.grid_start, samples, times, values) = state
+         self.grid_start, self._times, self._values) = state
+        self._n = len(self._times)
         self._segment = None
-        self._grid_indices = None
-        if samples is not None:
-            self._samples = samples
-            self._times = None
-            self._values = None
-            self._n = len(samples)
-        else:
-            self._samples = None
-            self._times = times
-            self._values = values
-            self._n = len(times)
 
     def __repr__(self) -> str:
         return (f"<QuantumResult task={self.task_id} n={self._n} "
@@ -266,8 +202,7 @@ class ResultBlock:
         times = self._times
         values = self._values
         for i, task_id in enumerate(self.task_ids):
-            yield QuantumResult(task_id, None,
-                                float(self._end_times[i]),
+            yield QuantumResult(task_id, float(self._end_times[i]),
                                 int(self._steps[i]), self.done,
                                 grid_start=self.grid_start,
                                 times=times, values=values[i])
@@ -340,8 +275,7 @@ class SimulationTask:
         are taken exactly on the global grid (times ``k * sample_every``).
         """
         if self.done:
-            return QuantumResult(self.task_id, [], self.time,
-                                 self.steps, True)
+            return QuantumResult(self.task_id, self.time, self.steps, True)
         target = min(self.time + self.quantum, self.t_end)
         grid_start = self._next_grid
         grid_times: list[float] = []
@@ -360,13 +294,12 @@ class SimulationTask:
         if self.time < target:
             self.simulator.advance(target - self.time)
         if not rows:
-            return QuantumResult(self.task_id, [], self.time,
-                                 self.steps, self.done)
-        # ship columnar: the samples cross process/network boundaries as
-        # two arrays and land in the aligner's buffers without a
-        # per-sample Python-object hop (row form stays a lazy view)
-        return QuantumResult(self.task_id, None, self.time,
-                             self.steps, self.done,
+            return QuantumResult(self.task_id, self.time, self.steps,
+                                 self.done)
+        # the samples cross process/network boundaries as two arrays and
+        # land in the aligner's buffers without a per-sample Python hop
+        return QuantumResult(self.task_id, self.time, self.steps,
+                             self.done,
                              grid_start=grid_start,
                              times=np.array(grid_times),
                              values=np.asarray(rows, dtype=float))
@@ -440,7 +373,7 @@ class BatchSimulationTask:
         if self.done:
             if self.coalesce:
                 return self._coalesced(0, np.empty(0), None, True)
-            return [QuantumResult(task_id, [], float(self.batch.times[i]),
+            return [QuantumResult(task_id, float(self.batch.times[i]),
                                   int(self.batch.steps[i]), True)
                     for i, task_id in enumerate(self.task_ids)]
         target = min(self.time + self.quantum, self.t_end)
@@ -464,7 +397,7 @@ class BatchSimulationTask:
         if not rows:
             if self.coalesce:
                 return self._coalesced(grid_start, np.empty(0), None, done)
-            return [QuantumResult(task_id, [], float(self.batch.times[i]),
+            return [QuantumResult(task_id, float(self.batch.times[i]),
                                   int(self.batch.steps[i]), done)
                     for i, task_id in enumerate(self.task_ids)]
         # (n_grid, n, n_obs): the quantum's samples, columnar end-to-end
@@ -475,8 +408,7 @@ class BatchSimulationTask:
             return self._coalesced(
                 grid_start, times_arr,
                 np.ascontiguousarray(block.transpose(1, 0, 2)), done)
-        return [QuantumResult(task_id, None,
-                              float(self.batch.times[i]),
+        return [QuantumResult(task_id, float(self.batch.times[i]),
                               int(self.batch.steps[i]), done,
                               grid_start=grid_start,
                               times=times_arr,

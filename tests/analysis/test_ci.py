@@ -10,8 +10,10 @@ from repro.analysis.engines import StatEngineNode
 from repro.analysis.stats import (OnlineStats, block_statistics,
                                   ci_half_width, cut_statistics,
                                   normal_ppf, sample_variance)
+from repro.analysis.windows import Window
 from repro.sim.trajectory import Cut
 from repro.ff import Pipeline, run
+from tests.oracles import ScalarStatEngineNode
 
 
 class TestFromMoments:
@@ -118,33 +120,16 @@ class TestSingleTrajectoryVarianceRegression:
         np.testing.assert_allclose(sample_variance(many, axis=1), expected)
 
 
-class _ArrayWindow:
-    """Minimal columnar window stand-in for engine unit tests."""
-
-    def __init__(self, index, data, times):
-        self.index = index
-        self.data = data
-        self.times = times
-        self.grid_indices = np.arange(data.shape[0])
-        self.start_time = float(times[0])
-        self.end_time = float(times[-1])
-        self.cuts = [
-            Cut(grid_index=g, time=float(times[g]),
-                values=[tuple(data[g, t].tolist())
-                        for t in range(data.shape[1])])
-            for g in range(data.shape[0])]
-
-
 class TestWindowCiFields:
     def _window(self, n_traj, seed=5):
         rng = np.random.default_rng(seed)
         data = rng.normal(10.0, 2.0, size=(8, n_traj, 2))
-        return _ArrayWindow(0, data, 0.5 * np.arange(8))
+        return Window(0, times=0.5 * np.arange(8), data=data)
 
     def test_vectorised_matches_scalar_path(self):
         window = self._window(6)
-        vec = StatEngineNode(vectorized=True)
-        scl = StatEngineNode(vectorized=False)
+        vec = StatEngineNode()
+        scl = ScalarStatEngineNode()
         (rv,) = run(Pipeline([[window], vec]))
         (rs,) = run(Pipeline([[window], scl]))
         assert rv.window_mean == pytest.approx(rs.window_mean, rel=1e-9)

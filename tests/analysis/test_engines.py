@@ -3,15 +3,15 @@
 import pytest
 
 from repro.analysis.engines import GatherNode, StatEngineNode, WindowStatistics
-from repro.analysis.windows import Window
 from repro.sim.trajectory import Cut
+from tests.oracles import window_from_cuts
 
 
 def window(n_cuts=4, n_traj=6, index=0):
     cuts = [Cut(grid_index=g, time=float(g),
                 values=[(float(t * 10 + g), float(t)) for t in range(n_traj)])
             for g in range(n_cuts)]
-    return Window(index, cuts)
+    return window_from_cuts(index, cuts)
 
 
 class TestStatEngine:

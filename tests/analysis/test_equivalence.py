@@ -4,9 +4,8 @@ The columnar analysis plane must reproduce the scalar reference:
 exactly where the floating-point accumulation order is preserved
 (k-means, histogram binning, moving average), and to tight tolerance
 where NumPy's pairwise summation reorders additions (per-cut statistics,
-autocorrelation).  The workflow-level tests assert the end-to-end
-``columnar=True`` pipeline against ``columnar=False`` on the threads,
-processes and cluster backends.
+autocorrelation).  The workflow-level tests assert every backend's
+end-to-end pipeline against the oracle chain of ``tests/oracles.py``.
 """
 
 import math
@@ -20,6 +19,7 @@ from repro.analysis.histogram import histogram
 from repro.analysis.periodogram import autocorrelation, autocorrelation_array
 from repro.analysis.stats import block_statistics, cut_statistics
 from repro.sim.trajectory import Cut
+from tests.oracles import oracle_windows
 
 REL = 1e-12
 
@@ -125,7 +125,9 @@ class TestAutocorrelation:
 
 
 class TestWorkflowEquivalence:
-    """columnar=True vs columnar=False end to end, per backend."""
+    """Each backend's ``run_workflow`` against the oracle chain (scalar
+    aligner -> scalar windower -> scalar stat engine) fed the same
+    seed's tasks, driven directly."""
 
     def _config(self, backend, **overrides):
         from repro.pipeline import WorkflowConfig
@@ -138,15 +140,13 @@ class TestWorkflowEquivalence:
 
     def _run_pair(self, model, backend, **overrides):
         from repro.pipeline import run_workflow
-        columnar = run_workflow(
-            model, self._config(backend, columnar=True, **overrides))
-        scalar = run_workflow(
-            model, self._config(backend, columnar=False, **overrides))
-        return columnar, scalar
+        config = self._config(backend, **overrides)
+        return run_workflow(model, config).windows, \
+            oracle_windows(model, config)
 
     def _assert_equivalent(self, columnar, scalar):
-        assert columnar.n_windows == scalar.n_windows
-        for wc, ws in zip(columnar.windows, scalar.windows):
+        assert len(columnar) == len(scalar) > 0
+        for wc, ws in zip(columnar, scalar):
             assert wc.window_index == ws.window_index
             assert wc.start_time == ws.start_time
             assert wc.end_time == ws.end_time
@@ -172,6 +172,9 @@ class TestWorkflowEquivalence:
             for obs in wc.filtered_mean:
                 assert wc.filtered_mean[obs] == pytest.approx(
                     ws.filtered_mean[obs], rel=REL)
+            assert wc.window_mean == pytest.approx(ws.window_mean, rel=REL)
+            assert wc.ci_half_width == pytest.approx(ws.ci_half_width,
+                                                     rel=1e-9)
 
     def test_threads(self, neurospora_small):
         self._assert_equivalent(
@@ -191,6 +194,6 @@ class TestWorkflowEquivalence:
 
     def test_batch_engine_columnar_wire(self, neurospora_small):
         """The batch engine ships columnar QuantumResults; the analysis
-        output must match the scalar path bit-for-bit all the same."""
+        output must match the oracle chain all the same."""
         self._assert_equivalent(*self._run_pair(
             neurospora_small, "threads", engine="batch", batch_size=3))

@@ -1,16 +1,17 @@
 """Sliding-window generation.
 
 Parametrised over the columnar ring-buffer :class:`SlidingWindowNode`
-and the scalar oracle :class:`ScalarSlidingWindowNode`: both must emit
-the same window sequence for any stream.
+and the scalar oracle :class:`~tests.oracles.ScalarSlidingWindowNode`:
+both must emit the same window sequence for any stream.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.windows import (ScalarSlidingWindowNode,
-                                    SlidingWindowNode, Window)
+from repro.analysis.windows import SlidingWindowNode
 from repro.sim.trajectory import Cut, CutBlock
+from tests.oracles import ScalarSlidingWindowNode, window_from_cuts
 
 NODES = (SlidingWindowNode, ScalarSlidingWindowNode)
 
@@ -122,7 +123,6 @@ class TestColumnarScalarEquivalence:
         for cut in stream:
             scalar.svc(cut)
         scalar.svc_end()
-        import numpy as np
         start = 0
         while start < n:
             chunk = stream[start:start + block_len]
@@ -158,14 +158,14 @@ class TestColumnarScalarEquivalence:
 
 class TestWindowObject:
     def test_time_bounds(self):
-        window = Window(0, cuts(4))
+        window = window_from_cuts(0, cuts(4))
         assert window.start_time == 0.0
         assert window.end_time == 3.0
 
     def test_trajectory_matrix(self):
         data = [Cut(grid_index=g, time=float(g),
                     values=[(g + 100.0,), (g + 200.0,)]) for g in range(3)]
-        window = Window(0, data)
+        window = window_from_cuts(0, data)
         matrix = window.trajectory_matrix(0)
         assert matrix == [[100.0, 101.0, 102.0], [200.0, 201.0, 202.0]]
 

@@ -93,7 +93,7 @@ class TestCoalescedFrames:
 
     def test_mixed_members_and_blocks(self):
         """A wire message may carry blocks and loose member results."""
-        loose = QuantumResult(99, None, time=1.0, steps=7, done=False,
+        loose = QuantumResult(99, time=1.0, steps=7, done=False,
                               grid_start=0,
                               times=np.array([0.0, 0.5]),
                               values=np.ones((2, 3)))

@@ -135,8 +135,8 @@ class TestFaultTolerance:
             kwargs={"heartbeat_interval": 0.05}, daemon=True)
         live.start()
         mute = socket.create_connection(("127.0.0.1", master.port))
-        from repro.distributed.message import encode_frame
-        mute.sendall(encode_frame(Hello(worker_id=1, pid=0)))
+        from repro.distributed.message import encode_frame_oob
+        mute.sendall(encode_frame_oob(Hello(worker_id=1, pid=0)))
 
         driver.join(timeout=60.0)
         mute.close()
@@ -241,3 +241,14 @@ class _Recorder:
                 previous = self.first_pin.setdefault(key, worker_id)
                 if previous != worker_id:
                     self.pin_changes += 1
+
+
+class TestWorkerCli:
+    def test_no_transport_flag(self):
+        from repro.distributed.worker import build_arg_parser
+        parser = build_arg_parser()
+        args = parser.parse_args(["--connect", "10.0.0.1:7000", "--id", "3"])
+        assert (args.connect, args.worker_id) == ("10.0.0.1:7000", 3)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--connect", "10.0.0.1:7000", "--id", "3",
+                               "--no-zero-copy"])

@@ -34,7 +34,7 @@ def columnar_result(task_id=0, n=128, n_obs=4, grid_start=0, done=False):
     times = np.arange(n, dtype=float) * 0.5
     values = (np.arange(n * n_obs, dtype=float).reshape(n, n_obs)
               + 1000 * task_id)
-    return QuantumResult(task_id, None, time=float(n) * 0.5, steps=17,
+    return QuantumResult(task_id, time=float(n) * 0.5, steps=17,
                          done=done, grid_start=grid_start,
                          times=times, values=values)
 
@@ -71,17 +71,16 @@ class TestPublishMap:
         assert block.entries[0] is small[0]
         assert leaked_segments(prefix) == []
 
-    def test_row_form_and_empty_results_ride_inline(self, prefix):
-        rows = QuantumResult(1, [(0, 0.0, (1.0,))], time=1.0, steps=2)
-        empty = QuantumResult(2, [], time=1.0, steps=0, done=True)
+    def test_empty_results_ride_inline(self, prefix):
+        empty = QuantumResult(2, time=1.0, steps=0, done=True)
         big = columnar_result(task_id=0, n=256, n_obs=4)
-        block = publish_results([rows, big, empty], prefix)
+        block = publish_results([empty, big, empty], prefix)
         assert block.name is not None
-        assert block.entries[0] is rows
+        assert block.entries[0] is empty
         assert isinstance(block.entries[1], ShmEntry)
         assert block.entries[2] is empty
         mapped = map_results(block)
-        assert mapped[0] is rows and mapped[2] is empty
+        assert mapped[0] is empty and mapped[2] is empty
         assert np.array_equal(mapped[1]._values, big._values)
         mapped[1].release()
 
@@ -164,14 +163,15 @@ def _shm_config(**overrides):
 
 
 class TestProcessesBackendZeroCopy:
-    def test_bit_identical_to_plain_pickling(self, neurospora_small):
-        plain = run_workflow_multiprocess(
-            neurospora_small, _shm_config(zero_copy=False))
-        shared = run_workflow_multiprocess(
-            neurospora_small, _shm_config(zero_copy=True))
-        for a, b in zip(plain.cuts, shared.cuts):
+    def test_bit_identical_to_sequential(self, neurospora_small):
+        reference = run_workflow(
+            neurospora_small, _shm_config(backend="sequential"))
+        shared = run_workflow_multiprocess(neurospora_small, _shm_config())
+        assert len(reference.cuts) == len(shared.cuts) > 0
+        for a, b in zip(reference.cuts, shared.cuts):
             assert a == b
-        assert [(s.grid_index, s.mean) for s in plain.cut_statistics()] \
+        assert [(s.grid_index, s.mean)
+                for s in reference.cut_statistics()] \
             == [(s.grid_index, s.mean) for s in shared.cut_statistics()]
 
     def test_shm_path_actually_engaged(self, neurospora_small):

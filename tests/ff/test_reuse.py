@@ -7,10 +7,11 @@ runs, feedback emitters remembered stale in-flight counts, aligners
 rejected fresh grid points as "already emitted").
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis.engines import GatherNode, StatEngineNode
-from repro.analysis.windows import SlidingWindowNode
+from repro.analysis.windows import SlidingWindowNode, Window
 from repro.ff import Farm, GO_ON, MasterWorkerEmitter, Node, Pipeline, run
 from repro.ff.node import SinkNode
 from repro.sim.trajectory import Cut
@@ -93,18 +94,12 @@ class TestSinkAndEngineReuse:
         assert sink.results == [0, 2, 4, 6, 8]  # not doubled up
 
     def test_engine_counters_restart(self, backend):
-        class _Win:
-            """Minimal stand-in accepted by StatEngineNode."""
-
-            def __init__(self, index):
-                self.index = index
-                self.cuts = []
-                self.start_time = 0.0
-                self.end_time = 1.0
+        def window(index):
+            return Window(index, times=[0.0, 1.0], data=np.zeros((2, 1, 1)))
 
         gather = GatherNode()
         engine = StatEngineNode()
-        structure = Pipeline([[_Win(0), _Win(1)], engine, gather])
+        structure = Pipeline([[window(0), window(1)], engine, gather])
         run(structure, backend=backend)
         run(structure, backend=backend)
         assert engine.windows_processed == 2

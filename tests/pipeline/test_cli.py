@@ -35,8 +35,30 @@ class TestArgParser:
             ["--backend", "cluster", "--workers", "3", "--inflight", "4"])
         assert args.workers == 3 and args.inflight == 4
 
+    def test_choices_come_from_config(self):
+        from repro.models import MODELS
+        from repro.pipeline.config import WorkflowConfig
+        choices = {a.dest: a.choices for a in build_arg_parser()._actions}
+        assert tuple(choices["engine"]) == WorkflowConfig.ENGINES
+        assert tuple(choices["engine_kernel"]) == \
+            WorkflowConfig.ENGINE_KERNELS
+        assert tuple(choices["method"]) == WorkflowConfig.METHODS
+        assert tuple(choices["backend"]) == WorkflowConfig.BACKENDS
+        assert sorted(choices["model"]) == sorted(MODELS)
+
+    def test_no_transport_flag(self):
+        with pytest.raises(SystemExit):
+            build_arg_parser().parse_args(["--no-zero-copy"])
+
 
 class TestMain:
+    @pytest.mark.parametrize("flag", ["--t-end", "--sample-every",
+                                      "--quantum"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_time_rejected(self, flag, value, capsys):
+        assert main([flag, value, "--quiet"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_small_run(self, capsys):
         code = main(["--model", "enzyme", "--simulations", "4",
                      "--t-end", "5", "--quantum", "1",

@@ -116,6 +116,12 @@ class TestConfigValidation:
         dict(n_stat_workers=0),
         dict(window_size=0),
         dict(window_slide=9),  # > window_size (5)
+        dict(t_end=float("nan")),
+        dict(t_end=float("inf")),
+        dict(sample_every=float("nan")),
+        dict(quantum=float("inf")),
+        dict(quantum=float("nan")),
+        dict(engine="bogus"),
     ])
     def test_rejected(self, bad):
         with pytest.raises(ValueError):

@@ -185,3 +185,9 @@ class TestErrorSurface:
         finally:
             manager.close()
             fleet.close()
+
+
+def test_service_cli_has_no_transport_flag():
+    from repro.service.__main__ import main
+    with pytest.raises(SystemExit):
+        main(["--no-zero-copy"])

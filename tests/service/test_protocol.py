@@ -53,9 +53,11 @@ class TestRunSpec:
             RunSpec.from_jsonable(["model"])
 
     def test_service_owned_config_fields_rejected(self):
-        """backend/trace/zero_copy belong to the service, not tenants --
-        naming them must fail loudly, not be silently ignored."""
-        for field in ("backend", "trace", "zero_copy", "keep_cuts"):
+        """backend/trace belong to the service, not tenants -- naming
+        them (or a field WorkflowConfig no longer has) must fail loudly,
+        not be silently ignored."""
+        for field in ("backend", "trace", "zero_copy", "keep_cuts",
+                      "columnar"):
             with pytest.raises(ProtocolError, match="not settable"):
                 RunSpec.from_jsonable({"model": "toggle",
                                        "config": {field: True}})
@@ -66,8 +68,12 @@ class TestRunSpec:
                                    "config": {"n_simulations": -1}})
 
     def test_bad_weight_rejected(self):
-        with pytest.raises(ProtocolError, match="weight"):
-            RunSpec.from_jsonable({"model": "toggle", "weight": 0})
+        for bad in (0, -1.0, float("nan"), float("inf"), "heavy"):
+            with pytest.raises(ProtocolError, match="weight"):
+                RunSpec.from_jsonable({"model": "toggle", "weight": bad})
+        for bad in (0, -5, float("nan"), float("inf"), None):
+            with pytest.raises(ProtocolError, match="omega"):
+                RunSpec.from_jsonable({"model": "toggle", "omega": bad})
         with pytest.raises(ProtocolError, match="max_inflight"):
             RunSpec.from_jsonable({"model": "toggle", "max_inflight": 0})
 

@@ -2,19 +2,21 @@
 
 Parametrised over both aligners: the columnar :class:`TrajectoryAligner`
 (emits :class:`CutBlock` batches) and the scalar oracle
-:class:`ScalarTrajectoryAligner` (emits one :class:`Cut` per grid
-point).  The capture helper flattens blocks so every test asserts the
+:class:`~tests.oracles.ScalarTrajectoryAligner` (emits one :class:`Cut`
+per grid point).  The capture helper flattens blocks so every test asserts the
 same per-cut sequence against both implementations.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.ff.node import Node
-from repro.sim.alignment import ScalarTrajectoryAligner, TrajectoryAligner
+from repro.sim.alignment import TrajectoryAligner
 from repro.sim.task import QuantumResult
 from repro.sim.trajectory import Cut, CutBlock, iter_cuts
+from tests.oracles import ScalarTrajectoryAligner
 
 ALIGNERS = (TrajectoryAligner, ScalarTrajectoryAligner)
 
@@ -35,20 +37,20 @@ class _Capture:
         return list(iter_cuts(self.items))
 
 
-def result(task_id, samples, done=False):
-    return QuantumResult(task_id=task_id,
-                         samples=[(g, float(g), (float(v),))
-                                  for g, v in samples],
-                         time=0.0, steps=0, done=done)
-
-
 def col_result(task_id, g0, values_2d, done=False):
-    """Columnar wire-format result: grids g0..g0+n-1 by construction."""
-    import numpy as np
+    """A result covering grids g0..g0+n-1 (contiguous by construction)."""
     vals = np.asarray(values_2d, dtype=float)
     times = np.array([float(g) for g in range(g0, g0 + len(vals))])
-    return QuantumResult(task_id, None, time=0.0, steps=0, done=done,
+    return QuantumResult(task_id, time=0.0, steps=0, done=done,
                          grid_start=g0, times=times, values=vals)
+
+
+def result(task_id, samples, done=False):
+    """A result from consecutive ``(grid, value)`` pairs."""
+    grids = [g for g, _v in samples]
+    assert grids == list(range(grids[0], grids[0] + len(grids)))
+    return col_result(task_id, grids[0], [[float(v)] for _g, v in samples],
+                      done=done)
 
 
 @pytest.mark.parametrize("aligner_cls", ALIGNERS)
@@ -195,6 +197,36 @@ class TestColumnarBatching:
         assert columnar.max_buffered == scalar.max_buffered
         assert columnar.cuts_emitted == scalar.cuts_emitted
 
+    def test_demoted_regime_agrees_on_shuffled_stream(self):
+        """Chunks arriving in any order -- a task's later grid points
+        before its earlier ones -- drive the aligner into the array
+        regime; it must still reproduce the oracle's cuts."""
+        rng = random.Random(23)
+        n_traj, n_grid = 4, 18
+        chunks = []
+        for t in range(n_traj):
+            g = 0
+            while g < n_grid:
+                take = rng.randint(1, min(4, n_grid - g))
+                chunks.append((t, g, [[float(t * 1000 + k * 3)]
+                                      for k in range(g, g + take)]))
+                g += take
+        rng.shuffle(chunks)
+
+        columnar = TrajectoryAligner(n_traj)
+        scalar = ScalarTrajectoryAligner(n_traj)
+        out_c, out_s = _Capture(columnar), _Capture(scalar)
+        for t, g0, vals in chunks:
+            columnar.svc(col_result(t, g0, vals))
+            scalar.svc(col_result(t, g0, vals))
+        assert not columnar._fast
+        assert len(out_c.cuts) == len(out_s.cuts) == n_grid
+        for c, s in zip(out_c.cuts, out_s.cuts):
+            assert c.grid_index == s.grid_index
+            assert c.time == s.time
+            assert c.values == s.values
+        assert columnar.max_buffered == scalar.max_buffered
+
     def test_fast_regime_duplicate_detected_after_demote(self):
         """In-order columnar results keep the aligner in the scalar fast
         regime (no seen matrix); a later duplicate must still be caught
@@ -244,21 +276,18 @@ class TestColumnarBatching:
             assert c.values == s.values
 
     def test_columnar_results_feed_without_row_hop(self):
-        """Array-carrying QuantumResults (the BatchSimulationTask wire
-        format) land in the cut matrix without materialising samples."""
-        import numpy as np
+        """QuantumResults (the BatchSimulationTask wire format) land in
+        the cut matrix straight from their arrays."""
         aligner = TrajectoryAligner(2)
         out = _Capture(aligner)
         for task_id in range(2):
             res = QuantumResult(
-                task_id, None, time=1.0, steps=3,
+                task_id, time=1.0, steps=3,
                 grid_start=0,
                 times=np.array([0.0, 0.5, 1.0]),
                 values=np.array([[task_id + 0.0], [task_id + 0.5],
                                  [task_id + 1.0]]))
-            assert res._samples is None
             aligner.svc(res)
-            assert res._samples is None  # never materialised
         assert len(out.items) == 1
         assert [c.values for c in out.items[0]] == [
             [(0.0,), (1.0,)], [(0.5,), (1.5,)], [(1.0,), (2.0,)]]

@@ -1,9 +1,8 @@
-"""Lazy pickling of results and cuts.
+"""Pickling of results and cuts.
 
-The columnar wire format only pays off if serialisation preserves it: an
-array-form :class:`QuantumResult` must cross process and socket
-boundaries as two arrays plus scalars, never materialising the
-per-sample Python tuples, and a lazily derived second view must be
+The columnar wire format only pays off if serialisation preserves it: a
+:class:`QuantumResult` must cross process and socket boundaries as two
+arrays plus scalars, and a cut's lazily derived second view must be
 dropped rather than shipped twice.
 """
 
@@ -25,19 +24,16 @@ from repro.sim.trajectory import Cut, CutBlock
 def columnar_result(n=64, n_obs=3, task_id=5, grid_start=7):
     times = np.arange(n, dtype=float) * 0.5
     values = np.arange(n * n_obs, dtype=float).reshape(n, n_obs)
-    return QuantumResult(task_id, None, time=32.0, steps=400, done=False,
+    return QuantumResult(task_id, time=32.0, steps=400, done=False,
                          grid_start=grid_start, times=times, values=values)
 
 
 class TestQuantumResultPickle:
     def test_array_form_roundtrip_stays_lazy(self):
         result = columnar_result()
-        blob = pickle.dumps(result)
-        # pickling must not have materialised the row view...
-        assert result._samples is None
-        clone = pickle.loads(blob)
-        # ...and neither has the clone
-        assert clone._samples is None
+        clone = pickle.loads(pickle.dumps(result))
+        assert isinstance(clone._times, np.ndarray)
+        assert isinstance(clone._values, np.ndarray)
         assert clone.grid_start == result.grid_start
         assert clone.task_id == result.task_id
         assert clone.time == result.time
@@ -54,28 +50,12 @@ class TestQuantumResultPickle:
         clone = pickle.loads(pickle.dumps(result))
         assert clone.samples == result.samples
 
-    def test_row_form_roundtrip(self):
-        samples = [(0, 0.0, (1.0, 2.0)), (1, 0.5, (3.0, 4.0))]
-        result = QuantumResult(2, samples, time=1.0, steps=10, done=True)
-        clone = pickle.loads(pickle.dumps(result))
-        assert clone._values is None  # stays in row form
-        assert clone.samples == samples
-        assert clone.done and clone.steps == 10
-
-    def test_row_form_with_derived_arrays_ships_rows_once(self):
-        """A row result whose columnar view was materialised must ship
-        the authoritative rows only (grid_start stays None)."""
-        samples = [(3, 1.5, (9.0,)), (4, 2.0, (8.0,))]
-        result = QuantumResult(1, samples, time=2.0, steps=5, done=False)
-        result.columnar()  # derive the arrays
-        clone = pickle.loads(pickle.dumps(result))
-        assert clone._values is None
-        assert clone.samples == samples
-
     def test_empty_result_roundtrip(self):
-        result = QuantumResult(3, [], time=4.0, steps=7, done=True)
+        result = QuantumResult(3, time=4.0, steps=7, done=True)
         clone = pickle.loads(pickle.dumps(result))
         assert len(clone) == 0 and clone.done
+        assert clone.samples == []
+        assert clone._times.shape == (0,)
 
     def test_arrays_go_out_of_band(self):
         """Under protocol 5 the value matrix leaves as a raw buffer, not
@@ -91,7 +71,6 @@ class TestQuantumResultPickle:
         result = columnar_result(n=128, n_obs=2)
         clone, rest = decode_frame(encode_frame_oob(result))
         assert rest == b""
-        assert clone._samples is None
         assert np.array_equal(clone._values, result._values)
         assert np.array_equal(clone._times, result._times)
 
